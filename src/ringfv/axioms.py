@@ -12,7 +12,8 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .boolalg import _beval, idempotent_algebra, make_partition_formula, phi_star
+from .boolalg import (_beval, idempotent_algebra, make_partition_formula,
+                      masks_form_partition, partitions_within, phi_star)
 from .formula import (And, BEq, BNot, BVar, Exists, Not, TOP, BOT,
                       format_bool_formula, format_ring_formula, free_variables,
                       leq, parse_ring_formula)
@@ -234,25 +235,6 @@ def default_partition_sequences() -> tuple:
     return tuple(sequences)
 
 
-def _partitions_within_masks(natoms: int, bound_masks, phi) -> bool:
-    """Does some partition Y_0..Y_m with Y_j <= bounds[j] satisfy phi?
-
-    Partitions of the finite atomic algebra are exactly the assignments of
-    atoms to cells, so the enumeration walks (m+1)^#atoms mask tuples.
-    """
-    m1 = len(bound_masks)
-    full = (1 << natoms) - 1
-    for assign in itertools.product(range(m1), repeat=natoms):
-        masks = [0] * m1
-        for atom_index, cell in enumerate(assign):
-            masks[cell] |= 1 << atom_index
-        if any(mask & ~bound for mask, bound in zip(masks, bound_masks)):
-            continue
-        if _beval(phi, dict(enumerate(masks)), full):
-            return True
-    return False
-
-
 def check_axiom5(ring: FiniteRing, phis=None, partition_sequences=None,
                  budget: CheckBudget = None) -> AxiomReport:
     """Equivalence of the patching condition and the partition condition.
@@ -263,8 +245,7 @@ def check_axiom5(ring: FiniteRing, phis=None, partition_sequences=None,
     """
     budget = budget or DEFAULT_BUDGET
     sequences = partition_sequences or default_partition_sequences()
-    natoms = len(atoms(ring))
-    full = (1 << natoms) - 1
+    full = (1 << len(atoms(ring))) - 1
     instances = 0
     for cells, witness in sequences:
         m = len(cells) - 1
@@ -283,7 +264,7 @@ def check_axiom5(ring: FiniteRing, phis=None, partition_sequences=None,
             value_tuples = {}
             for g in ring.elements:
                 masks = cache.masks({**env, witness: g})
-                if not cache.masks_form_partition(masks):
+                if not masks_form_partition(masks, full):
                     raise ValueError(
                         "axiom5 precondition: cells are not a partition sequence "
                         f"on {ring.label} at {_env_json(env)}, witness {g!r}")
@@ -302,7 +283,8 @@ def check_axiom5(ring: FiniteRing, phis=None, partition_sequences=None,
                         break
                 side2 = side2_memo.get((phi, bounds))
                 if side2 is None:
-                    side2 = _partitions_within_masks(natoms, bounds, phi)
+                    side2 = any(_beval(phi, dict(enumerate(ws)), full)
+                                for ws in partitions_within(bounds, full))
                     side2_memo[phi, bounds] = side2
                 if side1 != side2:
                     return _report(ring, "axiom5", instances, {

@@ -2,13 +2,21 @@
 
 The finite algebra is atomic, so the map sending an idempotent to the set
 of atoms below it is an isomorphism onto the powerset of the atoms.
-eval_bool_formula works on that powerset picture (bitmask per element);
-tests pin it against the ring-operation reading of the same formulas.
+eval_bool_formula works on that powerset picture (bitmask per element)
+and reads every quantifier literally, over all 2^atoms masks; tests pin it
+against the ring-operation reading of the same formulas.
+
+eval_psi gives the same verdicts faster.  It decides each phi_star block
+(some partition w_0..w_m with w_j <= t_j satisfies phi) by walking the
+assignments of atoms to cells, because those are exactly the partitions
+of a finite atomic algebra (the finite Feferman-Vaught reduction): at most
+(m+1)^atoms steps instead of (2^atoms)^(m+1).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 from .formula import (And, BAnd, BEq, BExists, BForall, BImplies, BNot, BOr,
@@ -162,7 +170,8 @@ def phi_star(phi: BoolFormula, m: int = None) -> BoolFormula:
     (w_j <= v_j) with phi holding at the w's.  The w's get fresh indices
     above everything in phi.  m defaults to the largest free variable of
     phi; translate passes it explicitly because a cell sequence may be
-    longer than the variables psi happens to mention.
+    longer than the variables psi happens to mention.  eval_psi recognizes
+    this shape through partition_block.
     """
     fv = free_variables(phi)
     if m is None:
@@ -180,6 +189,132 @@ def phi_star(phi: BoolFormula, m: int = None) -> BoolFormula:
     for w in reversed(ws):
         body = BExists(w.index, body)
     return body
+
+
+def masks_form_partition(masks, full: int) -> bool:
+    """Do the atom masks join to full with pairwise meets 0?"""
+    joined = 0
+    for m in masks:
+        if joined & m:
+            return False
+        joined |= m
+    return joined == full
+
+
+def partitions_within(bounds, full: int):
+    """Yield every partition (w_0..w_m) of the atoms with w_j <= bounds[j].
+
+    A partition of the finite atomic algebra sends each atom to exactly one
+    cell, so the walk is the product of each atom's allowed cells: at most
+    (m+1)^atoms steps, and none when some atom fits under no bound.
+    """
+    choices = []
+    for a in range(full.bit_length()):
+        bit = 1 << a
+        cells = [(j, bit) for j, b in enumerate(bounds) if b & bit]
+        if not cells:
+            return
+        choices.append(cells)
+    for assign in itertools.product(*choices):
+        masks = [0] * len(bounds)
+        for j, bit in assign:
+            masks[j] |= bit
+        yield masks
+
+
+@functools.lru_cache(maxsize=None)
+def partition_block(f: BExists):
+    """Match the shape phi_star builds, else None.
+
+    The shape is E w_0 .. E w_m. Part(w_0..w_m) & w_0 <= t_0 & .. &
+    w_m <= t_m & phi with distinct w's and no w free in any t_j; the w's
+    may carry any indices, since substitute_bool renames bound variables.
+    Returns (ws, ts, phi).
+    """
+    ws = []
+    body = f
+    while isinstance(body, BExists):
+        ws.append(body.var)
+        body = body.body
+    wset = set(ws)
+    if len(wset) != len(ws) or not isinstance(body, BAnd):
+        return None
+    rest, phi = body.left, body.right
+    ts = []
+    for w in reversed(ws):
+        if not isinstance(rest, BAnd):
+            return None
+        rest, cond = rest.left, rest.right
+        if not (isinstance(cond, BEq) and isinstance(cond.left, Meet)
+                and cond.left.left == BVar(w) and cond.right == BVar(w)):
+            return None
+        ts.append(cond.left.right)
+    ts.reverse()
+    if any(free_variables(t) & wset for t in ts):
+        return None
+    if rest != partition_conditions([BVar(w) for w in ws]):
+        return None
+    return tuple(ws), tuple(ts), phi
+
+
+def _block_holds(block, menv, full):
+    ws, ts, phi = block
+    bounds = [_term_mask(t, menv, full) for t in ts]
+    saved = [menv.get(w, _MISSING) for w in ws]
+    result = False
+    for masks in partitions_within(bounds, full):
+        menv.update(zip(ws, masks))
+        if _peval(phi, menv, full):
+            result = True
+            break
+    for w, old in zip(ws, saved):
+        if old is _MISSING:
+            menv.pop(w, None)
+        else:
+            menv[w] = old
+    return result
+
+
+def _peval(f, menv, full):
+    if isinstance(f, BEq):
+        return _term_mask(f.left, menv, full) == _term_mask(f.right, menv, full)
+    if isinstance(f, BNot):
+        return not _peval(f.body, menv, full)
+    if isinstance(f, BAnd):
+        return _peval(f.left, menv, full) and _peval(f.right, menv, full)
+    if isinstance(f, BOr):
+        return _peval(f.left, menv, full) or _peval(f.right, menv, full)
+    if isinstance(f, BImplies):
+        return not _peval(f.left, menv, full) or _peval(f.right, menv, full)
+    if isinstance(f, BExists):
+        block = partition_block(f)
+        if block is not None:
+            return _block_holds(block, menv, full)
+    if isinstance(f, (BExists, BForall)):
+        want = isinstance(f, BExists)
+        var, body = f.var, f.body
+        saved = menv.get(var, _MISSING)
+        result = not want
+        for mask in range(full + 1):
+            menv[var] = mask
+            if _peval(body, menv, full) == want:
+                result = want
+                break
+        if saved is _MISSING:
+            del menv[var]
+        else:
+            menv[var] = saved
+        return result
+    raise TypeError(f"not a Boolean formula: {f!r}")
+
+
+def eval_psi(formula: BoolFormula, masks, full: int) -> bool:
+    """Satisfaction in B with variable j at masks[j].
+
+    Same verdicts as eval_bool_formula, but each phi_star block is decided
+    by partitions_within; every other quantifier runs over all masks.
+    """
+    return _peval(formula, dict(enumerate(masks)), full)
 
 
 def _idempotence_guard(index: int) -> RingFormula:
@@ -246,11 +381,5 @@ class Partition:
 
 def is_partition(algebra: IdempotentAlgebra, cells) -> bool:
     """Join of the cells is 1 and pairwise meets are 0."""
-    masks = [algebra.atom_mask(c) for c in cells]
-    full = (1 << len(algebra.atoms)) - 1
-    joined = 0
-    for m in masks:
-        if joined & m:
-            return False
-        joined |= m
-    return joined == full
+    return masks_form_partition([algebra.atom_mask(c) for c in cells],
+                                (1 << len(algebra.atoms)) - 1)

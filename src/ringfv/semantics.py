@@ -159,11 +159,3 @@ class StalkValueCache:
                 if hit:
                     out[ci] |= 1 << ai
         return tuple(out)
-
-    def masks_form_partition(self, masks) -> bool:
-        joined = 0
-        for m in masks:
-            if joined & m:
-                return False
-            joined |= m
-        return joined == self.full

@@ -17,7 +17,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .boolalg import _beval, idempotent_algebra, phi_star
+from .boolalg import eval_psi, idempotent_algebra, masks_form_partition, phi_star
 from .formula import (And, BAnd, BEq, BNot, BVar, Eq, Exists, Join, Not,
                       RingFormula, TOP, canonicalize, format_ring_formula,
                       free_variables, quantifier_depth, substitute_bool)
@@ -213,9 +213,11 @@ def translate(formula: RingFormula, max_quantifier_depth: int = 3,
 class FvEvaluator:
     """Evaluates one translation on one ring, with transparent caching.
 
-    Cell values go through a StalkValueCache; psi verdicts are memoized
-    per tuple of cell values.  Results are identical to composing
-    boolean_value_batch with eval_bool_formula; a test pins that.
+    Cell values go through a StalkValueCache; psi is decided by eval_psi,
+    which walks atom-to-cell assignments inside each phi_star block, and
+    its verdicts are memoized per tuple of cell values.  Results are
+    identical to composing boolean_value_batch with eval_bool_formula;
+    tests pin that.
     """
 
     def __init__(self, ring: FiniteRing, translation: TranslationResult):
@@ -233,7 +235,7 @@ class FvEvaluator:
     def evaluate_masks(self, masks) -> bool:
         hit = self._psi_memo.get(masks)
         if hit is None:
-            hit = _beval(self.translation.bool_formula, dict(enumerate(masks)), self.full)
+            hit = eval_psi(self.translation.bool_formula, masks, self.full)
             self._psi_memo[masks] = hit
         return hit
 
@@ -241,7 +243,7 @@ class FvEvaluator:
         return self.evaluate_masks(self.cell_masks(env))
 
     def masks_form_partition(self, masks) -> bool:
-        return self._cache.masks_form_partition(masks)
+        return masks_form_partition(masks, self.full)
 
 
 def eval_via_fv(ring: FiniteRing, formula: RingFormula, env=None,
@@ -261,15 +263,20 @@ class SweepMismatch:
 
 @dataclass(frozen=True)
 class SweepReport:
+    """Sweep totals; mismatches and partition_failures keep only the first
+    collect_limit examples, the counts cover every instance."""
+
     ring: str
     formulas: int
     instances: int
     mismatches: tuple
     partition_failures: tuple
+    mismatch_count: int
+    partition_failure_count: int
 
     @property
     def ok(self) -> bool:
-        return not self.mismatches and not self.partition_failures
+        return not self.mismatch_count and not self.partition_failure_count
 
     def to_json(self) -> dict:
         return {
@@ -288,10 +295,12 @@ def oracle_sweep(ring: FiniteRing, formulas, max_quantifier_depth: int = 3,
     """Compare eval_via_fv against eval_direct over all assignments.
 
     Also checks, on every instance, that the Boolean values of the
-    translation's cells form a partition of the algebra.
+    translation's cells form a partition of the algebra.  Every failure is
+    counted; the first collect_limit of each kind are kept as examples.
     """
     mismatches = []
     partition_failures = []
+    mismatch_count = partition_failure_count = 0
     instances = 0
     formulas = tuple(formulas)
     for f in formulas:
@@ -303,9 +312,14 @@ def oracle_sweep(ring: FiniteRing, formulas, max_quantifier_depth: int = 3,
             masks = ev.cell_masks(env)
             via = ev.evaluate_masks(masks)
             direct = eval_direct(ring, f, env)
-            if via != direct and len(mismatches) < collect_limit:
-                mismatches.append(SweepMismatch(format_ring_formula(f), env, direct, via))
-            if not ev.masks_form_partition(masks) and len(partition_failures) < collect_limit:
-                partition_failures.append(f"{format_ring_formula(f)} at {env}")
+            if via != direct:
+                mismatch_count += 1
+                if len(mismatches) < collect_limit:
+                    mismatches.append(SweepMismatch(format_ring_formula(f), env, direct, via))
+            if not ev.masks_form_partition(masks):
+                partition_failure_count += 1
+                if len(partition_failures) < collect_limit:
+                    partition_failures.append(f"{format_ring_formula(f)} at {env}")
     return SweepReport(ring.label, len(formulas), instances,
-                       tuple(mismatches), tuple(partition_failures))
+                       tuple(mismatches), tuple(partition_failures),
+                       mismatch_count, partition_failure_count)

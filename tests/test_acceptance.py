@@ -38,14 +38,14 @@ def sweep_reports():
 
 def test_criterion_1_oracle_equivalence(sweep_reports):
     instances = sum(r.instances for r in sweep_reports)
-    mismatches = sum(len(r.mismatches) for r in sweep_reports)
+    mismatches = sum(r.mismatch_count for r in sweep_reports)
     verdict(1, "oracle equivalence", mismatches == 0,
             f"{instances} instances over {len(sweep_reports)} rings, "
             f"{mismatches} mismatches")
 
 
 def test_criterion_2_partition_soundness(sweep_reports):
-    failures = sum(len(r.partition_failures) for r in sweep_reports)
+    failures = sum(r.partition_failure_count for r in sweep_reports)
     instances = sum(r.instances for r in sweep_reports)
     verdict(2, "partition soundness", failures == 0,
             f"{instances} instances, {failures} non-partitions")

@@ -210,6 +210,22 @@ def test_oracle_sweep_reports_json(z6):
     assert payload["ring"] == "Z/6"
 
 
+@pytest.mark.parametrize("method", ["evaluate_masks", "masks_form_partition"])
+def test_oracle_sweep_counts_failures_beyond_collect_limit(z6, monkeypatch, method):
+    # force every verdict (or every partition check) wrong and collect none
+    original = getattr(FvEvaluator, method)
+    monkeypatch.setattr(FvEvaluator, method,
+                        lambda self, masks: not original(self, masks))
+    formula = parse_ring_formula("E x1. x0*x1 = 1")
+    report = oracle_sweep(z6, [formula], collect_limit=0)
+    assert report.mismatches == () and report.partition_failures == ()
+    counts = {"evaluate_masks": report.mismatch_count,
+              "masks_form_partition": report.partition_failure_count}
+    assert counts[method] == report.instances == 6
+    assert not report.ok
+    assert report.to_json()["ok"] is False
+
+
 def test_corollary_ring_equals_product_of_stalks(suite_rings):
     """Sentences agree between R and the product of its atom stalks."""
     sentences = [parse_ring_formula(t) for t in (
