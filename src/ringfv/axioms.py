@@ -127,10 +127,7 @@ def check_axiom2(ring: FiniteRing, formulas=None, budget: CheckBudget = None) ->
         for env in _assignments(ring, free_variables(theta), budget):
             instances += 1
             (mask,) = cache.masks(env)
-            value = ring.zero
-            for i, e in enumerate(ring_atoms):
-                if mask >> i & 1:
-                    value = algebra.join(value, e)
+            value = algebra.element_of_mask(mask)
             for i, e in enumerate(ring_atoms):
                 if algebra.below(e, value) != bool(mask >> i & 1):
                     return _report(ring, "axiom2", instances, {
@@ -195,7 +192,6 @@ def check_axiom4(ring: FiniteRing, budget: CheckBudget = None) -> AxiomReport:
     budget = budget or DEFAULT_BUDGET
     pool = atomic_pool((0, 1), 1)[:max(budget.max_formulas, 64)]
     algebra = idempotent_algebra(ring)
-    ring_atoms = atoms(ring)
     instances = 0
     for theta in pool:
         cache = StalkValueCache(ring, (theta,))
@@ -203,10 +199,7 @@ def check_axiom4(ring: FiniteRing, budget: CheckBudget = None) -> AxiomReport:
             instances += 1
             direct = eval_direct(ring, theta, env)
             (mask,) = cache.masks(env)
-            value = ring.zero
-            for i, e in enumerate(ring_atoms):
-                if mask >> i & 1:
-                    value = algebra.join(value, e)
+            value = algebra.element_of_mask(mask)
             if direct != (value == ring.one):
                 return _report(ring, "axiom4", instances, {
                     "formula": format_ring_formula(theta),

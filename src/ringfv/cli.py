@@ -3,8 +3,7 @@
 Subcommands: parse, eval, translate, check, axioms, equiv, atoms.  Exit
 code 0 on success or all-pass, 1 on any mismatch or axiom failure, 2 on
 usage, parse or input errors.  Output is deterministic: identical argv
-and seed give byte-identical output.  FV_MAX_DEPTH overrides the default
-quantifier-depth cap for translation.
+give byte-identical output.
 """
 
 from __future__ import annotations
@@ -12,9 +11,7 @@ from __future__ import annotations
 import argparse
 import ast
 import json
-import os
 import sys
-from dataclasses import dataclass, field
 
 from .axioms import CheckBudget, run_axiom_suite
 from .formula import (ParseError, canonicalize, format_ring_formula,
@@ -30,20 +27,6 @@ from .translate import (TranslationDepthError, TranslationSizeError,
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
 
-@dataclass
-class RunConfig:
-    """Everything a subcommand run depends on, normalized from argv."""
-
-    ring_descriptors: list = field(default_factory=list)
-    formula: str = None
-    suite: str = None
-    assignment: dict = field(default_factory=dict)
-    max_depth: int = 3
-    budget: int = 64
-    seed: int = 0
-    json_output: bool = False
-
-
 def parse_ring_descriptor(text: str):
     """zmod:<n>, product:<desc>,<desc>,... (flat), or table:@<json file>."""
     if text.startswith("zmod:"):
@@ -56,12 +39,28 @@ def parse_ring_descriptor(text: str):
     if text.startswith("table:@"):
         with open(text[7:], encoding="utf-8") as fh:
             data = json.load(fh)
+        _check_table(data)
         size = data["size"]
         add = [data["add"][i * size:(i + 1) * size] for i in range(size)]
         mul = [data["mul"][i * size:(i + 1) * size] for i in range(size)]
         return table_ring(add, mul, data["zero"], data["one"], data.get("label"))
     raise ValueError(f"unknown ring descriptor {text!r}; "
                      "use zmod:<n>, product:..., or table:@<file>")
+
+
+def _check_table(data) -> None:
+    """Types and lengths of a table-ring file, checked before any use."""
+    if not isinstance(data, dict):
+        raise ValueError("a table ring file must hold a JSON object")
+    for key in ("size", "zero", "one"):
+        if type(data[key]) is not int:
+            raise ValueError(f"table ring {key!r} must be an integer")
+    for key in ("add", "mul"):
+        table = data[key]
+        if not isinstance(table, list) or any(type(v) is not int for v in table):
+            raise ValueError(f"table ring {key!r} must be a list of integers")
+        if len(table) != data["size"] ** 2:
+            raise ValueError(f"table ring {key!r} must have size*size entries")
 
 
 def _split_top_level(text: str) -> list:
@@ -86,11 +85,17 @@ def parse_assignment(text: str, ring) -> dict:
         name = name.strip()
         if not (name.startswith("x") and name[1:].isdigit()):
             raise ValueError(f"bad assignment variable {name!r}")
-        value = ast.literal_eval(literal.strip())
+        try:
+            value = ast.literal_eval(literal.strip())
+        except SyntaxError:
+            raise ValueError(f"bad assignment literal {literal.strip()!r}") from None
         if isinstance(value, list):
             value = tuple(value)
-        if value not in ring.elements:
-            raise ValueError(f"{value!r} is not an element of {ring.label}")
+        try:
+            # the carrier's own element, so 1.0 on Z/6 becomes 1
+            value = ring.elements[ring.elements.index(value)]
+        except ValueError:
+            raise ValueError(f"{value!r} is not an element of {ring.label}") from None
         env[int(name[1:])] = value
     return env
 
@@ -118,47 +123,47 @@ def _emit(payload: dict, as_json: bool, lines):
             print(line)
 
 
-def cmd_parse(cfg: RunConfig, lang: str) -> int:
-    if lang == "bool":
-        f = parse_bool_formula(cfg.formula)
+def cmd_parse(args) -> int:
+    if args.lang == "bool":
+        f = parse_bool_formula(args.formula)
         payload = {"language": "bool", "formula": str(f),
                    "free_variables": sorted(free_variables(f))}
-        _emit(payload, cfg.json_output,
+        _emit(payload, args.json,
               [str(f), f"free variables: {sorted(free_variables(f))}"])
         return EXIT_OK
-    f = parse_ring_formula(cfg.formula)
+    f = parse_ring_formula(args.formula)
     payload = {"language": "ring", "formula": str(f),
                "free_variables": sorted(free_variables(f)),
                "canonical": format_ring_formula(canonicalize(f))}
-    _emit(payload, cfg.json_output,
+    _emit(payload, args.json,
           [str(f), f"free variables: {sorted(free_variables(f))}",
            f"canonical: {payload['canonical']}"])
     return EXIT_OK
 
 
-def cmd_eval(cfg: RunConfig) -> int:
-    ring = parse_ring_descriptor(cfg.ring_descriptors[0])
-    f = parse_ring_formula(cfg.formula)
-    env = cfg.assignment
+def cmd_eval(args) -> int:
+    ring = parse_ring_descriptor(args.ring)
+    env = parse_assignment(args.assign, ring)
+    f = parse_ring_formula(args.formula)
     result = eval_direct(ring, f, env)
     value = boolean_value(ring, f, env).element
     payload = {"ring": ring.label, "formula": str(f),
                "assignment": {f"x{k}": _element_json(v) for k, v in sorted(env.items())},
                "result": result, "boolean_value": _element_json(value)}
-    _emit(payload, cfg.json_output,
+    _emit(payload, args.json,
           [f"{ring.label} |= {f}  at {payload['assignment']}: {str(result).lower()}",
            f"boolean value: {value}"])
     return EXIT_OK
 
 
-def cmd_translate(cfg: RunConfig) -> int:
-    f = parse_ring_formula(cfg.formula)
-    result = translate(f, cfg.max_depth)
+def cmd_translate(args) -> int:
+    f = parse_ring_formula(args.formula)
+    result = translate(f, args.max_depth)
     payload = result.to_json()
     lines = [f"source: {payload['source']}", f"psi: {payload['psi']}",
              f"cells ({payload['cell_count']}):"]
     lines += [f"  [{i}] {c}" for i, c in enumerate(payload["cells"])]
-    _emit(payload, cfg.json_output, lines)
+    _emit(payload, args.json, lines)
     return EXIT_OK
 
 
@@ -168,13 +173,14 @@ def _resolve_suite(name: str) -> list:
     return [format_ring_formula(f) for f in formula_suite(name)]
 
 
-def cmd_check(cfg: RunConfig) -> int:
-    ring = parse_ring_descriptor(cfg.ring_descriptors[0])
-    formulas = [parse_ring_formula(t) for t in _resolve_suite(cfg.suite)]
-    report = oracle_sweep(ring, formulas, cfg.max_depth)
-    payload = report.to_json() | {"suite": cfg.suite, "seed": cfg.seed}
+def cmd_check(args) -> int:
+    ring = parse_ring_descriptor(args.ring)
+    suite = args.formula_suite
+    formulas = [parse_ring_formula(t) for t in _resolve_suite(suite)]
+    report = oracle_sweep(ring, formulas, args.max_depth)
+    payload = report.to_json() | {"suite": suite}
     lines = [f"ring: {report.ring}",
-             f"suite: {cfg.suite} ({report.formulas} formulas)",
+             f"suite: {suite} ({report.formulas} formulas)",
              f"instances: {report.instances}"]
     for m in report.mismatches:
         lines.append(f"MISMATCH {m.formula} at "
@@ -183,13 +189,13 @@ def cmd_check(cfg: RunConfig) -> int:
     for p in report.partition_failures:
         lines.append(f"PARTITION FAILURE {p}")
     lines.append("result: " + ("PASS" if report.ok else "FAIL"))
-    _emit(payload, cfg.json_output, lines)
+    _emit(payload, args.json, lines)
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
-def cmd_axioms(cfg: RunConfig) -> int:
-    ring = parse_ring_descriptor(cfg.ring_descriptors[0])
-    budget = CheckBudget(max_assignments=cfg.budget, seed=cfg.seed)
+def cmd_axioms(args) -> int:
+    ring = parse_ring_descriptor(args.ring)
+    budget = CheckBudget(max_assignments=args.budget, seed=args.seed)
     reports = run_axiom_suite(ring, budget)
     ok = all(r.passed for r in reports)
     payload = {"ring": ring.label, "reports": [r.to_json() for r in reports], "ok": ok}
@@ -199,17 +205,17 @@ def cmd_axioms(cfg: RunConfig) -> int:
         if r.counterexample:
             lines.append(f"  counterexample: {json.dumps(r.counterexample)}")
     lines.append("result: " + ("PASS" if ok else "FAIL"))
-    _emit(payload, cfg.json_output, lines)
+    _emit(payload, args.json, lines)
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def cmd_equiv(cfg: RunConfig, sentences_arg: str) -> int:
-    left = parse_ring_descriptor(cfg.ring_descriptors[0])
-    right = parse_ring_descriptor(cfg.ring_descriptors[1])
-    if sentences_arg == "default30":
+def cmd_equiv(args) -> int:
+    left = parse_ring_descriptor(args.left)
+    right = parse_ring_descriptor(args.right)
+    if args.sentences == "default30":
         texts = list(DEFAULT_SENTENCES)
     else:
-        texts = load_formula_file(sentences_arg)
+        texts = load_formula_file(args.sentences)
     rows = []
     ok = True
     for text in texts:
@@ -217,8 +223,8 @@ def cmd_equiv(cfg: RunConfig, sentences_arg: str) -> int:
         if free_variables(sentence):
             raise ValueError(f"sentence has free variables: {text}")
         verdicts = (eval_direct(left, sentence), eval_direct(right, sentence),
-                    eval_via_fv(left, sentence, max_quantifier_depth=cfg.max_depth),
-                    eval_via_fv(right, sentence, max_quantifier_depth=cfg.max_depth))
+                    eval_via_fv(left, sentence, max_quantifier_depth=args.max_depth),
+                    eval_via_fv(right, sentence, max_quantifier_depth=args.max_depth))
         agree = len(set(verdicts)) == 1
         ok = ok and agree
         rows.append({"sentence": text, "left": verdicts[0], "right": verdicts[1],
@@ -229,12 +235,12 @@ def cmd_equiv(cfg: RunConfig, sentences_arg: str) -> int:
         mark = "agree" if row["ok"] else "DISAGREE"
         lines.append(f"{mark} [{str(row['left']).lower()}] {row['sentence']}")
     lines.append("result: " + ("PASS" if ok else "FAIL"))
-    _emit(payload, cfg.json_output, lines)
+    _emit(payload, args.json, lines)
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def cmd_atoms(cfg: RunConfig) -> int:
-    ring = parse_ring_descriptor(cfg.ring_descriptors[0])
+def cmd_atoms(args) -> int:
+    ring = parse_ring_descriptor(args.ring)
     stalks = [{"atom": _element_json(st.unit), "size": st.size,
                "connected": is_connected(st)} for st in atom_stalks(ring)]
     payload = {"ring": ring.label, "size": ring.size,
@@ -248,7 +254,7 @@ def cmd_atoms(cfg: RunConfig) -> int:
         lines.append(f"stalk at {st.unit}: {st.size} elements, "
                      f"{'connected' if is_connected(st) else 'NOT connected'}")
     lines.append(f"connected: {'yes' if is_connected(ring) else 'no'}")
-    _emit(payload, cfg.json_output, lines)
+    _emit(payload, args.json, lines)
     return EXIT_OK
 
 
@@ -272,15 +278,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("translate", help="translate a formula")
     p.add_argument("--formula", required=True)
-    p.add_argument("--max-depth", type=int, default=None)
+    p.add_argument("--max-depth", type=int, default=3)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("check", help="compare direct and translated evaluation")
     p.add_argument("--ring", required=True)
     p.add_argument("--formula-suite", default="default-depth2",
                    help=f"one of {', '.join(available_suites())}, or @<file>")
-    p.add_argument("--max-depth", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-depth", type=int, default=3)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("axioms", help="run the axiom checkers on a ring")
@@ -294,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--right", required=True)
     p.add_argument("--sentences", default="default30",
                    help="a file of sentences, or 'default30'")
-    p.add_argument("--max-depth", type=int, default=None)
+    p.add_argument("--max-depth", type=int, default=3)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("atoms", help="list idempotents, atoms and stalks")
@@ -303,11 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _default_depth() -> int:
-    depth = int(os.environ.get("FV_MAX_DEPTH", 3))
-    if depth < 1:
-        raise ValueError("FV_MAX_DEPTH must be >= 1")
-    return depth
+COMMANDS = {"parse": cmd_parse, "eval": cmd_eval, "translate": cmd_translate,
+            "check": cmd_check, "axioms": cmd_axioms, "equiv": cmd_equiv,
+            "atoms": cmd_atoms}
 
 
 def main(argv=None) -> int:
@@ -317,43 +320,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        cfg = RunConfig(json_output=getattr(args, "json", False),
-                        seed=getattr(args, "seed", 0),
-                        budget=getattr(args, "budget", 64))
-        depth = getattr(args, "max_depth", None)
-        cfg.max_depth = depth if depth is not None else _default_depth()
-        if cfg.max_depth < 1:
+        if getattr(args, "max_depth", 1) < 1:
             raise ValueError("depth cap must be >= 1")
-        cfg.formula = getattr(args, "formula", None)
-        if args.command == "parse":
-            return cmd_parse(cfg, args.lang)
-        if args.command == "eval":
-            ring = parse_ring_descriptor(args.ring)
-            cfg.ring_descriptors = [args.ring]
-            if args.assign:
-                cfg.assignment = parse_assignment(args.assign, ring)
-            return cmd_eval(cfg)
-        if args.command == "translate":
-            return cmd_translate(cfg)
-        if args.command == "check":
-            cfg.ring_descriptors = [args.ring]
-            cfg.suite = args.formula_suite
-            return cmd_check(cfg)
-        if args.command == "axioms":
-            cfg.ring_descriptors = [args.ring]
-            return cmd_axioms(cfg)
-        if args.command == "equiv":
-            cfg.ring_descriptors = [args.left, args.right]
-            return cmd_equiv(cfg, args.sentences)
-        if args.command == "atoms":
-            cfg.ring_descriptors = [args.ring]
-            return cmd_atoms(cfg)
-        parser.error(f"unknown command {args.command}")
+        return COMMANDS[args.command](args)
     except (ParseError, RingError, UnboundVariableError, TranslationDepthError,
             TranslationSizeError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_USAGE
 
 
 def run() -> None:

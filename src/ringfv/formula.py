@@ -16,7 +16,7 @@ language is sugar for a ^ b = a.  Printing re-sugars both.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 # Parsed "w<k>" Boolean variables map to index k + W_OFFSET so that the
 # w-namespace can never collide with y-variables of the same digits.
@@ -32,14 +32,11 @@ class ParseError(ValueError):
 
 
 class Node:
-    """Shared behaviour for all AST nodes: cached hash, printing."""
+    """Shared behaviour for all AST nodes: printing.
 
-    def __post_init__(self):
-        h = hash((type(self).__name__,) + tuple(getattr(self, f.name) for f in fields(self)))
-        object.__setattr__(self, "_hash", h)
-
-    def __hash__(self):
-        return self._hash
+    Every node class is a frozen dataclass, so nodes compare and hash by
+    structure through the generated __eq__ and __hash__.
+    """
 
     def __str__(self):
         if isinstance(self, RingTerm):
@@ -230,11 +227,31 @@ class BForall(BoolFormula):
     body: BoolFormula
 
 
-_BINARY = (Add, Sub, Mul, Eq, And, Or, Implies, Meet, Join, BEq, BAnd, BOr, BImplies)
-_UNARY = (Not, Complement, BNot)
-_QUANT = (Exists, Forall, BExists, BForall)
-_VARS = (Var, BVar)
-_CONSTS = (Zero, One, Bot, Top)
+# Node kinds as sets of classes: dispatch on type(node) is one set lookup.
+_BINARY = frozenset((Add, Sub, Mul, Eq, And, Or, Implies, Meet, Join,
+                     BEq, BAnd, BOr, BImplies))
+_QUANT = frozenset((Exists, Forall, BExists, BForall))
+_BODY = _QUANT | {Not, Complement, BNot}
+_VARS = frozenset((Var, BVar))
+
+
+def children(node) -> tuple:
+    """The immediate subnodes: both operands of a binary node, the body of
+    a negation, complement or quantifier, none for variables and constants."""
+    cls = type(node)
+    if cls in _BINARY:
+        return node.left, node.right
+    if cls in _BODY:
+        return (node.body,)
+    return ()
+
+
+def rebuild(node, kids):
+    """A node of the same kind (and bound variable) over the given children."""
+    cls = type(node)
+    if cls in _QUANT:
+        return cls(node.var, *kids)
+    return cls(*kids) if kids else node
 
 
 def numeral(k: int) -> RingTerm:
@@ -270,15 +287,17 @@ def leq(a: BoolTerm, b: BoolTerm) -> BoolFormula:
     return BEq(Meet(a, b), a)
 
 
+def join_all(terms) -> BoolTerm:
+    """The left-nested join (..(t_0 v t_1) v ..) v t_n of a nonempty sequence."""
+    return functools.reduce(Join, terms)
+
+
 def partition_conditions(cells) -> BoolFormula:
     """Join-is-top and pairwise-meet-is-bottom over the given Boolean terms."""
     cells = list(cells)
     if not cells:
         raise ValueError("a partition needs at least one cell")
-    join = cells[0]
-    for c in cells[1:]:
-        join = Join(join, c)
-    out = BEq(join, TOP)
+    out = BEq(join_all(cells), TOP)
     for i in range(len(cells)):
         for j in range(i + 1, len(cells)):
             out = BAnd(out, BEq(Meet(cells[i], cells[j]), BOT))
@@ -290,83 +309,73 @@ def partition_conditions(cells) -> BoolFormula:
 @functools.lru_cache(maxsize=None)
 def free_variables(node) -> frozenset:
     """Free variable indices of a formula or term, in either language."""
-    if isinstance(node, _VARS):
+    cls = type(node)
+    if cls in _VARS:
         return frozenset((node.index,))
-    if isinstance(node, _CONSTS):
-        return frozenset()
-    if isinstance(node, _QUANT):
-        return free_variables(node.body) - {node.var}
-    if isinstance(node, _UNARY):
-        return free_variables(node.body)
-    return free_variables(node.left) | free_variables(node.right)
+    out = frozenset()
+    for child in children(node):
+        out |= free_variables(child)
+    if cls in _QUANT:
+        out -= {node.var}
+    return out
 
 
 @functools.lru_cache(maxsize=None)
 def max_var_index(node) -> int:
     """Largest variable index occurring anywhere (bound included); -1 if none."""
-    if isinstance(node, _VARS):
+    cls = type(node)
+    if cls in _VARS:
         return node.index
-    if isinstance(node, _CONSTS):
-        return -1
-    if isinstance(node, _QUANT):
-        return max(node.var, max_var_index(node.body))
-    if isinstance(node, _UNARY):
-        return max_var_index(node.body)
-    return max(max_var_index(node.left), max_var_index(node.right))
+    out = node.var if cls in _QUANT else -1
+    for child in children(node):
+        out = max(out, max_var_index(child))
+    return out
 
 
 def quantifier_depth(f) -> int:
-    if isinstance(f, _QUANT):
-        return 1 + quantifier_depth(f.body)
-    if isinstance(f, _UNARY):
-        return quantifier_depth(f.body)
-    if isinstance(f, (Eq, BEq)) or isinstance(f, (RingTerm, BoolTerm)):
-        return 0
-    return max(quantifier_depth(f.left), quantifier_depth(f.right))
+    depth = 0
+    for child in children(f):
+        depth = max(depth, quantifier_depth(child))
+    return depth + (type(f) in _QUANT)
 
 
 def ast_size(node) -> int:
     """Number of AST nodes, terms and formulas both counted."""
-    if isinstance(node, _VARS) or isinstance(node, _CONSTS):
-        return 1
-    if isinstance(node, _QUANT) or isinstance(node, _UNARY):
-        return 1 + ast_size(node.body)
-    return 1 + ast_size(node.left) + ast_size(node.right)
+    size = 1
+    for child in children(node):
+        size += ast_size(child)
+    return size
 
 
-def _substitute(node, mapping, var_cls, quant_cls):
+def _substitute(node, mapping, var_cls):
     if not mapping:
         return node
-    if isinstance(node, var_cls):
+    cls = type(node)
+    if cls is var_cls:
         return mapping.get(node.index, node)
-    if isinstance(node, _CONSTS):
-        return node
-    if isinstance(node, quant_cls):
-        live = {k: t for k, t in mapping.items()
-                if k != node.var and k in free_variables(node.body)}
+    kids = children(node)
+    if cls in _QUANT:
+        live = {k: t for k, t in mapping.items() if k in free_variables(node)}
         if not live:
             return node
-        var, body = node.var, node.body
+        var, (body,) = node.var, kids
         if any(var in free_variables(t) for t in live.values()):
             fresh = 1 + max(max_var_index(node),
                             max(max_var_index(t) for t in live.values()))
-            body = _substitute(body, {var: var_cls(fresh)}, var_cls, quant_cls)
+            body = _substitute(body, {var: var_cls(fresh)}, var_cls)
             var = fresh
-        return type(node)(var, _substitute(body, live, var_cls, quant_cls))
-    if isinstance(node, _UNARY):
-        return type(node)(_substitute(node.body, mapping, var_cls, quant_cls))
-    return type(node)(_substitute(node.left, mapping, var_cls, quant_cls),
-                      _substitute(node.right, mapping, var_cls, quant_cls))
+        return cls(var, _substitute(body, live, var_cls))
+    return rebuild(node, [_substitute(k, mapping, var_cls) for k in kids])
 
 
 def substitute(f: RingFormula, var: int, term: RingTerm) -> RingFormula:
     """Capture-avoiding substitution of a ring term for a free variable."""
-    return _substitute(f, {var: term}, Var, (Exists, Forall))
+    return _substitute(f, {var: term}, Var)
 
 
 def substitute_bool(f, mapping: dict) -> "BoolFormula | BoolTerm":
     """Simultaneous capture-avoiding substitution of Boolean terms."""
-    return _substitute(f, dict(mapping), BVar, (BExists, BForall))
+    return _substitute(f, dict(mapping), BVar)
 
 
 def canonicalize(f: RingFormula) -> RingFormula:
@@ -423,38 +432,33 @@ def canonical_relabel(f: RingFormula) -> RingFormula:
     seen = set()
 
     def scan_free(node, bound):
-        if isinstance(node, Var):
+        cls = type(node)
+        if cls is Var:
             if node.index not in bound and node.index not in seen:
                 seen.add(node.index)
                 order.append(node.index)
-        elif isinstance(node, _CONSTS):
-            pass
-        elif isinstance(node, _QUANT):
-            scan_free(node.body, bound | {node.var})
-        elif isinstance(node, _UNARY):
-            scan_free(node.body, bound)
-        else:
-            scan_free(node.left, bound)
-            scan_free(node.right, bound)
+            return
+        if cls in _QUANT:
+            bound = bound | {node.var}
+        for child in children(node):
+            scan_free(child, bound)
 
     scan_free(f, frozenset())
     free_map = {v: i for i, v in enumerate(order)}
     counter = [len(order)]
 
-    def rebuild(node, env):
-        if isinstance(node, Var):
+    def relabel(node, env):
+        cls = type(node)
+        if cls is Var:
             return Var(env.get(node.index, free_map.get(node.index, node.index)))
-        if isinstance(node, _CONSTS):
-            return node
-        if isinstance(node, _QUANT):
+        if cls in _QUANT:
             name = counter[0]
             counter[0] += 1
-            return type(node)(name, rebuild(node.body, {**env, node.var: name}))
-        if isinstance(node, _UNARY):
-            return type(node)(rebuild(node.body, env))
-        return type(node)(rebuild(node.left, env), rebuild(node.right, env))
+            (body,) = children(node)
+            return cls(name, relabel(body, {**env, node.var: name}))
+        return rebuild(node, [relabel(child, env) for child in children(node)])
 
-    return rebuild(f, {})
+    return relabel(f, {})
 
 
 # --- tokenizer ---

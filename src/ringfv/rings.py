@@ -208,10 +208,6 @@ class Stalk(FiniteRing):
         self.zero = parent.zero
         self.one = e
 
-    @property
-    def atom(self):
-        return self.unit
-
     def add(self, a, b):
         return self.parent.add(a, b)
 
@@ -220,10 +216,6 @@ class Stalk(FiniteRing):
 
     def mul(self, a, b):
         return self.parent.mul(a, b)
-
-    def project(self, x):
-        """The localization map R -> eR, x |-> ex."""
-        return self.parent.mul(self.unit, x)
 
 
 def modular_ring(n: int) -> ModularRing:

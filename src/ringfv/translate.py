@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from .boolalg import eval_psi, idempotent_algebra, masks_form_partition, phi_star
 from .formula import (And, BAnd, BEq, BNot, BVar, Eq, Exists, Join, Not,
                       RingFormula, TOP, canonicalize, format_ring_formula,
-                      free_variables, quantifier_depth, substitute_bool)
+                      free_variables, join_all, quantifier_depth,
+                      substitute_bool)
 from .rings import FiniteRing
 from .semantics import StalkValueCache, eval_direct
 
@@ -168,20 +169,8 @@ def _translate(f):
         psi_r, cr, tr = _translate(f.right)
         a, b = len(cl), len(cr)
         cells = tuple(And(x, y) for x in cl for y in cr)
-        rows = {}
-        for i in range(a):
-            join = None
-            for j in range(b):
-                v = BVar(i * b + j)
-                join = v if join is None else Join(join, v)
-            rows[i] = join
-        cols = {}
-        for j in range(b):
-            join = None
-            for i in range(a):
-                v = BVar(i * b + j)
-                join = v if join is None else Join(join, v)
-            cols[j] = join
+        rows = {i: join_all([BVar(i * b + j) for j in range(b)]) for i in range(a)}
+        cols = {j: join_all([BVar(i * b + j) for i in range(a)]) for j in range(b)}
         psi = BAnd(substitute_bool(psi_l, rows), substitute_bool(psi_r, cols))
         return psi, cells, tl + tr + (TraceStep("and", a * b),)
     if isinstance(f, Exists):

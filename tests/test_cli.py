@@ -36,13 +36,27 @@ def test_parse_ring_descriptor_product():
     assert ring.label == "Z/2 x Z/3" and ring.size == 6
 
 
-def test_parse_ring_descriptor_table(tmp_path):
-    table = {"size": 2, "add": [0, 1, 1, 0], "mul": [0, 0, 0, 1],
-             "zero": 0, "one": 1, "label": "F2"}
+F2_TABLE = {"size": 2, "add": [0, 1, 1, 0], "mul": [0, 0, 0, 1],
+            "zero": 0, "one": 1, "label": "F2"}
+
+
+def write_table(tmp_path, table=F2_TABLE):
     path = tmp_path / "f2.json"
     path.write_text(json.dumps(table))
-    ring = parse_ring_descriptor(f"table:@{path}")
+    return f"table:@{path}"
+
+
+def test_parse_ring_descriptor_table(tmp_path):
+    ring = parse_ring_descriptor(write_table(tmp_path))
     assert ring.label == "F2" and ring.size == 2
+
+
+@pytest.mark.parametrize("bad", [{"size": "2"}, {"one": 1.0}, {"add": "0110"}])
+def test_table_with_mistyped_field_is_rejected(capsys, tmp_path, bad):
+    ring = write_table(tmp_path, F2_TABLE | bad)
+    code, _, err = run_cli(capsys, "atoms", "--ring", ring)
+    (key,) = bad
+    assert code == EXIT_USAGE and key in err
 
 
 def test_parse_ring_descriptor_errors():
@@ -60,6 +74,8 @@ def test_parse_assignment_tuples():
         parse_assignment("x0=(9,9)", ring)
     with pytest.raises(ValueError):
         parse_assignment("y0=1", modular_ring(6))
+    with pytest.raises(ValueError):
+        parse_assignment("x0=(", modular_ring(6))
 
 
 # --- subcommands ---
@@ -100,6 +116,18 @@ def test_eval_subcommand(capsys):
     payload = json.loads(out)
     validate(payload, "eval.schema.json")
     assert payload["result"] is False and payload["boolean_value"] == 4
+
+
+@pytest.mark.parametrize("ring", ["zmod:6", "table"])
+def test_eval_float_literal_is_the_carrier_element(capsys, tmp_path, ring):
+    if ring == "table":
+        ring = write_table(tmp_path)
+    code, out, _ = run_cli(capsys, "eval", "--ring", ring, "--formula", "x0 = 1",
+                           "--assign", "x0=1.0", "--json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    validate(payload, "eval.schema.json")
+    assert payload["assignment"] == {"x0": 1} and payload["result"] is True
 
 
 def test_translate_subcommand(capsys):
@@ -177,16 +205,8 @@ def test_depth_cap_flag(capsys):
     assert code == EXIT_USAGE and "depth" in err
 
 
-def test_depth_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv("FV_MAX_DEPTH", "1")
-    code, _, err = run_cli(capsys, "translate",
-                           "--formula", "E x0. E x1. x0 = x1")
-    assert code == EXIT_USAGE and "depth" in err
-
-
 def test_byte_identical_reruns(capsys):
-    argv = ["check", "--ring", "zmod:6", "--formula-suite", "smoke",
-            "--seed", "7", "--json"]
+    argv = ["check", "--ring", "zmod:6", "--formula-suite", "smoke", "--json"]
     code1, out1, _ = run_cli(capsys, *argv)
     code2, out2, _ = run_cli(capsys, *argv)
     assert code1 == code2 == EXIT_OK

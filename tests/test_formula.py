@@ -8,9 +8,10 @@ from ringfv.formula import (
     Add, And, BAnd, BEq, BExists, BForall, BNot, BOr, BImplies, BOT, BVar,
     Bot, Complement, Eq, Exists, Forall, Implies, Join, Meet, Mul, Not, ONE,
     Or, ParseError, Sub, TOP, Top, Var, W_OFFSET, ZERO, Zero, One, ast_size,
-    canonical_relabel, canonicalize, format_bool_formula, format_ring_formula,
-    free_variables, is_canonical, numeral, parse_bool_formula,
-    parse_ring_formula, quantifier_depth, substitute, substitute_bool)
+    canonical_relabel, canonicalize, children, format_bool_formula,
+    format_ring_formula, free_variables, is_canonical, join_all, max_var_index,
+    numeral, parse_bool_formula, parse_ring_formula, quantifier_depth,
+    rebuild, substitute, substitute_bool)
 from ringfv.rings import modular_ring
 from ringfv.semantics import eval_direct
 
@@ -263,3 +264,51 @@ def test_structural_measures():
     assert quantifier_depth(f) == 2
     assert ast_size(f) == 7
     assert quantifier_depth(parse_ring_formula("0 = 0")) == 0
+    eq = f.body.body
+    assert children(eq) == (Mul(Var(0), Var(1)), ONE)
+    assert children(f) == (f.body,) and children(Not(eq)) == (eq,)
+    assert children(Complement(BVar(0))) == (BVar(0),)
+    assert children(Var(0)) == children(ZERO) == children(TOP) == ()
+    assert rebuild(f.body, (Not(eq),)) == Exists(1, Not(eq))
+    assert rebuild(eq, (ONE, ZERO)) == Eq(ONE, ZERO)
+    assert rebuild(BVar(3), ()) == BVar(3)
+    y0, y1, y2 = BVar(0), BVar(1), BVar(2)
+    assert join_all([y0, y1, y2]) == Join(Join(y0, y1), y2)
+
+
+# --- traversal properties on random formulas ---
+
+def _random_formulas(seed, count=300):
+    rng = random.Random(seed)
+    return [_random_ring_formula(rng, 4) for _ in range(count)], \
+        [_random_bool_formula(rng, 4) for _ in range(count)]
+
+
+def test_canonical_relabel_properties():
+    ring_fs, _ = _random_formulas(11)
+    for f in ring_fs:
+        g = canonical_relabel(f)
+        assert canonical_relabel(g) == g
+        assert ast_size(g) == ast_size(f)
+        assert quantifier_depth(g) == quantifier_depth(f)
+        assert free_variables(g) == set(range(len(free_variables(f))))
+
+
+def test_identity_substitution_and_var_bounds():
+    ring_fs, bool_fs = _random_formulas(12)
+    for f in ring_fs:
+        for v in range(4):
+            assert substitute(f, v, Var(v)) == f
+    for f in bool_fs:
+        for v in (0, 1, 2, 3, W_OFFSET):
+            assert substitute_bool(f, {v: BVar(v)}) == f
+    for f in ring_fs + bool_fs:
+        assert max_var_index(f) >= max(free_variables(f), default=-1)
+
+
+def test_structural_equality_and_hash():
+    first, second = _random_formulas(13, 50), _random_formulas(13, 50)
+    for xs, ys in zip(first, second):
+        for x, y in zip(xs, ys):
+            assert x is not y and x == y and hash(x) == hash(y)
+    assert Var(0) != BVar(0) and Eq(ZERO, ONE) != BEq(BOT, TOP)

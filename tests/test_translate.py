@@ -61,6 +61,10 @@ def test_and_case_psi_uses_row_and_column_joins():
     assert [format_ring_formula(c) for c in r.cells] == [
         "x0 = 0 & x1 = 0", "x0 = 0 & ~(x1 = 0)",
         "~(x0 = 0) & x1 = 0", "~(x0 = 0) & ~(x1 = 0)"]
+    r = translate(parse_ring_formula("x0 = 0 & x1 = 1 & x0*x1 = x1"))
+    assert format_bool_formula(r.bool_formula) == (
+        "(y0 v y1 v (y2 v y3)) = 1 & (y0 v y1 v (y4 v y5)) = 1"
+        " & (y0 v y2 v y4 v y6) = 1")
 
 
 def test_normalize_single_cell():
