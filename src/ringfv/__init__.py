@@ -8,10 +8,10 @@ from .formula import (BoolFormula, BoolTerm, ParseError, RingFormula, RingTerm,
                       substitute)
 from .rings import (FiniteRing, RingError, Stalk, atoms, idempotents,
                     is_connected, modular_ring, product_ring, stalk, table_ring)
-from .boolalg import (IdempotentAlgebra, Partition, bool_to_ring_formula,
-                      boolean_ring_ops, eval_bool_formula, idempotent_algebra,
-                      is_partition, make_partition_formula, phi_star)
-from .semantics import (BooleanValue, UnboundVariableError, boolean_value,
+from .boolalg import (IdempotentAlgebra, bool_to_ring_formula,
+                      eval_bool_formula, idempotent_algebra, is_partition,
+                      make_partition_formula, phi_star)
+from .semantics import (UnboundVariableError, boolean_value,
                         boolean_value_batch, eval_direct)
 from .translate import (AcceptableSequence, TranslationDepthError,
                         TranslationResult, TranslationSizeError, eval_via_fv,

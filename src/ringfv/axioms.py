@@ -46,12 +46,11 @@ class AxiomReport:
 
 @dataclass(frozen=True)
 class CheckBudget:
-    """Instance budgets; rings up to exhaustive_size get full env sweeps."""
+    """Instance budgets for the formula pools and the assignment samples."""
 
     max_formulas: int = 48
     max_assignments: int = 64
     seed: int = 0
-    exhaustive_size: int = 36
 
 
 DEFAULT_BUDGET = CheckBudget()
@@ -63,11 +62,12 @@ def _report(ring, check, instances, counterexample=None):
                        counterexample)
 
 
-def _assignments(ring: FiniteRing, variables, budget: CheckBudget):
+def _assignments(ring: FiniteRing, variables, budget: CheckBudget,
+                 exhaustive_size: int = 36):
     """All assignments when small enough, else a seeded deterministic sample."""
     variables = sorted(variables)
     total = ring.size ** len(variables)
-    if ring.size <= budget.exhaustive_size or total <= budget.max_assignments:
+    if ring.size <= exhaustive_size or total <= budget.max_assignments:
         for vals in itertools.product(ring.elements, repeat=len(variables)):
             yield dict(zip(variables, vals))
         return
@@ -145,15 +145,12 @@ def check_axiom2(ring: FiniteRing, formulas=None, budget: CheckBudget = None) ->
     return _report(ring, "axiom2", instances)
 
 
-def patch_witness(ring: FiniteRing, theta, witness_var: int, env,
-                  restrict_atoms=None):
+def patch_witness(ring: FiniteRing, theta, witness_var: int, env):
     """Build g by per-atom patching: on each atom whose stalk has a witness
     for theta, take the least stalk witness, and recombine by the orthogonal
-    sum.  Atoms outside restrict_atoms (when given) contribute 0."""
+    sum."""
     g = ring.zero
     for e, st in zip(atoms(ring), atom_stalks(ring)):
-        if restrict_atoms is not None and e not in restrict_atoms:
-            continue
         local = localize_assignment(ring, e, env)
         for candidate in st.elements:
             local[witness_var] = candidate
@@ -178,12 +175,12 @@ def check_axiom3(ring: FiniteRing, formulas=None, budget: CheckBudget = None) ->
             g = patch_witness(ring, theta, w, env)
             exists_value, at_g = boolean_value_batch(
                 ring, (Exists(w, theta), theta), {**env, w: g})
-            if not algebra.below(exists_value.element, at_g.element):
+            if not algebra.below(exists_value, at_g):
                 return _report(ring, "axiom3", instances, {
                     "formula": format_ring_formula(theta),
                     "assignment": _env_json(env), "witness": repr(g),
-                    "exists_value": repr(exists_value.element),
-                    "value_at_witness": repr(at_g.element)})
+                    "exists_value": repr(exists_value),
+                    "value_at_witness": repr(at_g)})
     return _report(ring, "axiom3", instances)
 
 
@@ -291,9 +288,6 @@ def check_axiom5(ring: FiniteRing, phis=None, partition_sequences=None,
 def _check_value_lemmas(ring: FiniteRing, budget: CheckBudget):
     """The meet/complement/join homomorphism laws for Boolean values."""
     algebra = idempotent_algebra(ring)
-    # pair sweeps square the instance count, so envs get a tighter policy
-    budget = CheckBudget(budget.max_formulas, budget.max_assignments,
-                         budget.seed, exhaustive_size=8)
     pool = [f for f in default_formula_pool()
             if len(free_variables(f)) <= 2][:budget.max_formulas]
     pairs = [(a, b) for a, b in itertools.product(pool, repeat=2)][:budget.max_formulas]
@@ -308,10 +302,11 @@ def _check_value_lemmas(ring: FiniteRing, budget: CheckBudget):
             if counterexample:
                 break
             fv = free_variables(t1) | free_variables(t2)
-            for env in _assignments(ring, fv, budget):
+            # pair sweeps square the instance count, so envs get a tighter policy
+            for env in _assignments(ring, fv, budget, exhaustive_size=8):
                 instances += 1
                 both, v1, v2 = boolean_value_batch(ring, (combine(t1, t2), t1, t2), env)
-                if both.element != expect(algebra, v1.element, v2.element):
+                if both != expect(algebra, v1, v2):
                     counterexample = {"theta1": format_ring_formula(t1),
                                       "theta2": format_ring_formula(t2),
                                       "assignment": _env_json(env)}
@@ -322,10 +317,10 @@ def _check_value_lemmas(ring: FiniteRing, budget: CheckBudget):
     for t in pool:
         if counterexample:
             break
-        for env in _assignments(ring, free_variables(t), budget):
+        for env in _assignments(ring, free_variables(t), budget, exhaustive_size=8):
             instances += 1
             neg, pos = boolean_value_batch(ring, (Not(t), t), env)
-            if neg.element != algebra.complement(pos.element):
+            if neg != algebra.complement(pos):
                 counterexample = {"theta": format_ring_formula(t),
                                   "assignment": _env_json(env)}
                 break

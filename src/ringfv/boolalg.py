@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from .formula import (And, BAnd, BEq, BExists, BForall, BImplies, BNot, BOr,
                       Bot, BoolFormula, BoolTerm, BVar, Complement, Eq, Exists,
@@ -88,13 +87,6 @@ def idempotent_algebra(ring: FiniteRing) -> IdempotentAlgebra:
     return IdempotentAlgebra(ring)
 
 
-def boolean_ring_ops(algebra: IdempotentAlgebra, x, y) -> tuple:
-    """The equivalent Boolean ring structure: (x xor y, x and y)."""
-    xor = algebra.join(algebra.meet(x, algebra.complement(y)),
-                       algebra.meet(algebra.complement(x), y))
-    return xor, algebra.meet(x, y)
-
-
 def _term_mask(t, menv, full):
     if isinstance(t, BVar):
         try:
@@ -163,22 +155,16 @@ def make_partition_formula(m: int) -> BoolFormula:
     return partition_conditions([BVar(i) for i in range(m + 1)])
 
 
-def phi_star(phi: BoolFormula, m: int = None) -> BoolFormula:
+def phi_star(phi: BoolFormula, m: int) -> BoolFormula:
     """The patching transform phi*(v_0..v_m).
 
     Asserts that some partition w_0..w_m refines the arguments cellwise
     (w_j <= v_j) with phi holding at the w's.  The w's get fresh indices
-    above everything in phi.  m defaults to the largest free variable of
-    phi; translate passes it explicitly because a cell sequence may be
-    longer than the variables psi happens to mention.  eval_psi recognizes
+    above everything in phi.  m comes from the cell sequence, which may be
+    longer than the variables phi happens to mention.  eval_psi recognizes
     this shape through partition_block.
     """
-    fv = free_variables(phi)
-    if m is None:
-        if not fv:
-            raise ValueError("phi is closed; pass m explicitly")
-        m = max(fv)
-    if any(v > m for v in fv):
+    if any(v > m for v in free_variables(phi)):
         raise ValueError(f"free variables of phi exceed v0..v{m}")
     base = max(max_var_index(phi) + 1, m + 1)
     ws = [BVar(base + j) for j in range(m + 1)]
@@ -360,23 +346,6 @@ def bool_to_ring_formula(f: BoolFormula) -> RingFormula:
     if isinstance(f, BForall):
         return Forall(f.var, Implies(_idempotence_guard(f.var), bool_to_ring_formula(f.body)))
     raise TypeError(f"not a Boolean formula: {f!r}")
-
-
-@dataclass(frozen=True)
-class Partition:
-    """An ordered finite partition of the algebra; cells may be 0."""
-
-    cells: tuple
-
-    @classmethod
-    def of(cls, algebra: IdempotentAlgebra, cells):
-        cells = tuple(cells)
-        if not is_partition(algebra, cells):
-            raise ValueError(f"not a partition of {algebra.ring.label}: {cells}")
-        return cls(cells)
-
-    def to_json(self) -> list:
-        return [c if isinstance(c, int) else str(c) for c in self.cells]
 
 
 def is_partition(algebra: IdempotentAlgebra, cells) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import math
 import sys
 
 from .axioms import CheckBudget, run_axiom_suite
@@ -26,16 +27,29 @@ from .translate import (TranslationDepthError, TranslationSizeError,
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
+# Every command that takes a ring scans its carrier, so larger rings are refused.
+MAX_RING_SIZE = 10**6
+
+
+def _check_ring_size(text: str, size: int) -> None:
+    if size > MAX_RING_SIZE:
+        raise ValueError(f"ring {text!r} has {size} elements, "
+                         f"above the limit {MAX_RING_SIZE}")
+
 
 def parse_ring_descriptor(text: str):
     """zmod:<n>, product:<desc>,<desc>,... (flat), or table:@<json file>."""
     if text.startswith("zmod:"):
-        return modular_ring(int(text[5:]))
+        n = int(text[5:])
+        _check_ring_size(text, n)
+        return modular_ring(n)
     if text.startswith("product:"):
         parts = [p for p in text[8:].split(",") if p]
         if any(p.startswith("product:") for p in parts):
             raise ValueError("nested product descriptors are not supported")
-        return product_ring([parse_ring_descriptor(p) for p in parts])
+        factors = [parse_ring_descriptor(p) for p in parts]
+        _check_ring_size(text, math.prod(f.size for f in factors))
+        return product_ring(factors)
     if text.startswith("table:@"):
         with open(text[7:], encoding="utf-8") as fh:
             data = json.load(fh)
@@ -61,6 +75,8 @@ def _check_table(data) -> None:
             raise ValueError(f"table ring {key!r} must be a list of integers")
         if len(table) != data["size"] ** 2:
             raise ValueError(f"table ring {key!r} must have size*size entries")
+    if data.get("label") is not None and type(data["label"]) is not str:
+        raise ValueError("table ring 'label' must be a string")
 
 
 def _split_top_level(text: str) -> list:
@@ -146,7 +162,7 @@ def cmd_eval(args) -> int:
     env = parse_assignment(args.assign, ring)
     f = parse_ring_formula(args.formula)
     result = eval_direct(ring, f, env)
-    value = boolean_value(ring, f, env).element
+    value = boolean_value(ring, f, env)
     payload = {"ring": ring.label, "formula": str(f),
                "assignment": {f"x{k}": _element_json(v) for k, v in sorted(env.items())},
                "result": result, "boolean_value": _element_json(value)}
@@ -326,6 +342,9 @@ def main(argv=None) -> int:
     except (ParseError, RingError, UnboundVariableError, TranslationDepthError,
             TranslationSizeError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -22,6 +22,9 @@ from dataclasses import dataclass
 # w-namespace can never collide with y-variables of the same digits.
 W_OFFSET = 1 << 20
 
+# A numeral k parses to about 2k nodes, so larger ones are refused up front.
+MAX_NUMERAL = 4096
+
 
 class ParseError(ValueError):
     def __init__(self, message, line=1, column=1):
@@ -355,7 +358,8 @@ def _substitute(node, mapping, var_cls):
         return mapping.get(node.index, node)
     kids = children(node)
     if cls in _QUANT:
-        live = {k: t for k, t in mapping.items() if k in free_variables(node)}
+        fv = free_variables(node)
+        live = {k: t for k, t in mapping.items() if k in fv}
         if not live:
             return node
         var, (body,) = node.var, kids
@@ -481,7 +485,11 @@ def _tokenize(text: str, lang: str):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(("num", int(text[i:j]), col))
+            value = int(text[i:j])
+            if lang == "ring" and value > MAX_NUMERAL:
+                raise ParseError(f"numeral {value} is above the limit {MAX_NUMERAL}",
+                                 column=col)
+            tokens.append(("num", value, col))
             i = j
             continue
         if c.isalpha():

@@ -7,8 +7,6 @@ short-circuited but otherwise unoptimized on purpose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .formula import (Add, And, Eq, Exists, Forall, Implies, Mul, Not, One,
                       Or, RingFormula, Sub, Var, Zero, free_variables)
 from .rings import FiniteRing, atom_stalks, atoms
@@ -18,15 +16,6 @@ _MISSING = object()
 
 class UnboundVariableError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class BooleanValue:
-    """An idempotent tagged with the formula and assignment it came from."""
-
-    element: object
-    formula: RingFormula
-    assignment: tuple
 
 
 def _check_env(formula, env):
@@ -98,7 +87,7 @@ def localize_assignment(ring: FiniteRing, e, env) -> dict:
     return {i: ring.mul(e, v) for i, v in env.items()}
 
 
-def boolean_value(ring: FiniteRing, formula: RingFormula, env=None) -> BooleanValue:
+def boolean_value(ring: FiniteRing, formula: RingFormula, env=None):
     """The join of all atoms whose stalks satisfy the formula locally.
 
     This is the unique idempotent b such that, for every atom e,
@@ -114,14 +103,13 @@ def boolean_value_batch(ring: FiniteRing, formulas, env=None) -> list:
     formulas = tuple(formulas)
     for f in formulas:
         _check_env(f, env)
-    tag = tuple(sorted(env.items()))
     values = [ring.zero] * len(formulas)
     for e, st in zip(atoms(ring), atom_stalks(ring)):
         local = localize_assignment(ring, e, env)
         for i, f in enumerate(formulas):
             if _eval(st, f, dict(local)):
                 values[i] = ring.join_idempotents(values[i], e)
-    return [BooleanValue(v, f, tag) for v, f in zip(values, formulas)]
+    return values
 
 
 class StalkValueCache:

@@ -26,6 +26,9 @@ from .rings import FiniteRing
 from .semantics import StalkValueCache, eval_direct
 
 
+MAX_CELLS = 4096
+
+
 def _cell_report(estimate: int) -> str:
     if estimate > 10**9:
         return f"2^{estimate.bit_length() - 1}"
@@ -33,12 +36,10 @@ def _cell_report(estimate: int) -> str:
 
 
 class TranslationDepthError(ValueError):
-    def __init__(self, formula, depth, max_depth, estimate):
+    def __init__(self, depth, max_depth, estimate):
         super().__init__(
             f"quantifier depth {depth} exceeds the cap {max_depth}; "
             f"translation would have about {_cell_report(estimate)} cells")
-        self.depth = depth
-        self.max_depth = max_depth
         self.estimated_cells = estimate
 
 
@@ -47,11 +48,10 @@ class TranslationSizeError(ValueError):
     n-cell core yields 2^n cells, and conjunction multiplies cell counts
     before the exponentiation, so a separate cell cap is enforced."""
 
-    def __init__(self, formula, max_cells, estimate):
+    def __init__(self, estimate):
         super().__init__(
             f"translation would have about {_cell_report(estimate)} cells, "
-            f"beyond the cap {max_cells}")
-        self.max_cells = max_cells
+            f"beyond the cap {MAX_CELLS}")
         self.estimated_cells = estimate
 
 
@@ -72,10 +72,6 @@ class AcceptableSequence:
         fv = free_variables(self.bool_formula)
         if any(v >= len(self.cells) for v in fv):
             raise ValueError("arity mismatch: psi mentions variables beyond the cells")
-
-    @property
-    def arity(self) -> int:
-        return len(self.cells)
 
     @property
     def standard(self) -> bool:
@@ -181,20 +177,16 @@ def _translate(f):
     raise TypeError(f"not a canonical ring formula: {f!r}")
 
 
-DEFAULT_MAX_CELLS = 4096
-
-
 @functools.lru_cache(maxsize=None)
-def translate(formula: RingFormula, max_quantifier_depth: int = 3,
-              max_cells: int = DEFAULT_MAX_CELLS) -> TranslationResult:
+def translate(formula: RingFormula, max_quantifier_depth: int = 3) -> TranslationResult:
     """Translate a ring formula; canonicalizes first, size-guarded."""
     canonical = canonicalize(formula)
     depth = quantifier_depth(canonical)
     estimate = _estimate_cells(canonical)
     if depth > max_quantifier_depth:
-        raise TranslationDepthError(formula, depth, max_quantifier_depth, estimate)
-    if estimate > max_cells:
-        raise TranslationSizeError(formula, max_cells, estimate)
+        raise TranslationDepthError(depth, max_quantifier_depth, estimate)
+    if estimate > MAX_CELLS:
+        raise TranslationSizeError(estimate)
     psi, cells, trace = _translate(canonical)
     return TranslationResult(formula, AcceptableSequence(psi, cells), trace)
 

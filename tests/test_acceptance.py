@@ -53,8 +53,8 @@ def test_criterion_2_partition_soundness(sweep_reports):
 
 def _lemma_identities_hold(ring, t1, t2, env):
     algebra = idempotent_algebra(ring)
-    both, either, neg, v1, v2 = (bv.element for bv in boolean_value_batch(
-        ring, (And(t1, t2), Or(t1, t2), Not(t1), t1, t2), env))
+    both, either, neg, v1, v2 = boolean_value_batch(
+        ring, (And(t1, t2), Or(t1, t2), Not(t1), t1, t2), env)
     return (both == algebra.meet(v1, v2)
             and either == algebra.join(v1, v2)
             and neg == algebra.complement(v1))

@@ -34,8 +34,8 @@ def test_axiom1_fail_path_via_corrupted_join():
 
 def test_axiom2_examples(z6):
     assert check_axiom2(z6, budget=FAST).passed
-    assert boolean_value(z6, parse_ring_formula("0 = 0")).element == 1
-    assert boolean_value(z6, parse_ring_formula("0 = 1")).element == 0
+    assert boolean_value(z6, parse_ring_formula("0 = 0")) == 1
+    assert boolean_value(z6, parse_ring_formula("0 = 1")) == 0
 
 
 def test_axiom3_passes(z6, z60):
@@ -46,22 +46,22 @@ def test_axiom3_passes(z6, z60):
 def test_axiom3_patching_example(z6):
     theta = parse_ring_formula("x0*x1 = x0")
     g = patch_witness(z6, theta, 1, {0: 2})
-    exists_v = boolean_value(z6, Exists(1, theta), {0: 2}).element
-    at_g = boolean_value(z6, theta, {0: 2, 1: g}).element
+    exists_v = boolean_value(z6, Exists(1, theta), {0: 2})
+    at_g = boolean_value(z6, theta, {0: 2, 1: g})
     assert z6.mul(exists_v, at_g) == exists_v  # exists <= at_g
 
 
 def test_axiom3_no_witness_anywhere(z6):
     theta = parse_ring_formula("x0*x1 = 1")  # x0 = 0 has no inverse
     g = patch_witness(z6, theta, 1, {0: 0})
-    assert boolean_value(z6, Exists(1, theta), {0: 0}).element == 0
+    assert boolean_value(z6, Exists(1, theta), {0: 0}) == 0
     assert g == 0
 
 
 def test_axiom3_witness_everywhere(z6):
     theta = parse_ring_formula("x0+x1 = 0")
     g = patch_witness(z6, theta, 1, {0: 2})
-    assert boolean_value(z6, theta, {0: 2, 1: g}).element == 1
+    assert boolean_value(z6, theta, {0: 2, 1: g}) == 1
 
 
 def test_axiom3_construction_complete(z6, z2xz3):
@@ -73,15 +73,15 @@ def test_axiom3_construction_complete(z6, z2xz3):
         for theta in pool:
             for v in ring.elements:
                 env = {0: v}
-                exists_v = boolean_value(ring, Exists(1, theta), env).element
+                exists_v = boolean_value(ring, Exists(1, theta), env)
                 found = None
                 for g in ring.elements:
-                    vg = boolean_value(ring, theta, {**env, 1: g}).element
+                    vg = boolean_value(ring, theta, {**env, 1: g})
                     if B.below(exists_v, vg):
                         found = g
                         break
                 patched = patch_witness(ring, theta, 1, env)
-                vp = boolean_value(ring, theta, {**env, 1: patched}).element
+                vp = boolean_value(ring, theta, {**env, 1: patched})
                 assert found is not None
                 assert B.below(exists_v, vp)
 
@@ -92,9 +92,9 @@ def test_axiom4_passes(z6, z4):
 
 
 def test_axiom4_boolean_value_example(z6):
-    value = boolean_value(z6, parse_ring_formula("x0 = 0"), {0: 3}).element
+    value = boolean_value(z6, parse_ring_formula("x0 = 0"), {0: 3})
     assert value == 4  # 3 vanishes in the Z/3 stalk only, so not 1
-    assert boolean_value(z6, parse_ring_formula("x0+x0 = 0"), {0: 3}).element == 1
+    assert boolean_value(z6, parse_ring_formula("x0+x0 = 0"), {0: 3}) == 1
 
 
 def test_axiom5_passes(z6, z4):
@@ -122,8 +122,8 @@ def test_axiom5_patched_witness_reproduces_partition(z6):
     B = idempotent_algebra(z6)
     for v in z6.elements:
         env = {0: v}
-        bounds = [bv.element for bv in boolean_value_batch(
-            z6, tuple(Exists(witness, c) for c in cells), env)]
+        bounds = boolean_value_batch(
+            z6, tuple(Exists(witness, c) for c in cells), env)
         # choose the partition that assigns each atom to its first live cell
         masks = [B.atom_mask(b) for b in bounds]
         chosen = [0] * len(cells)
@@ -144,9 +144,7 @@ def test_axiom5_patched_witness_reproduces_partition(z6):
                 if _eval(stalk(z6, e), cells[j], local):
                     g = z6.add(g, cand)
                     break
-        values = [bv.element for bv in
-                  boolean_value_batch(z6, cells, {**env, witness: g})]
-        assert values == partition
+        assert boolean_value_batch(z6, cells, {**env, witness: g}) == partition
 
 
 def test_run_axiom_suite_all_pass(z6, z4):

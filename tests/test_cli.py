@@ -29,6 +29,7 @@ def validate(payload, schema_name):
 
 def test_parse_ring_descriptor_zmod():
     assert parse_ring_descriptor("zmod:6").label == "Z/6"
+    assert parse_ring_descriptor("zmod:1000000").size == 10**6  # the limit
 
 
 def test_parse_ring_descriptor_product():
@@ -51,7 +52,8 @@ def test_parse_ring_descriptor_table(tmp_path):
     assert ring.label == "F2" and ring.size == 2
 
 
-@pytest.mark.parametrize("bad", [{"size": "2"}, {"one": 1.0}, {"add": "0110"}])
+@pytest.mark.parametrize("bad", [{"size": "2"}, {"one": 1.0}, {"add": "0110"},
+                                 {"label": 5}])
 def test_table_with_mistyped_field_is_rejected(capsys, tmp_path, bad):
     ring = write_table(tmp_path, F2_TABLE | bad)
     code, _, err = run_cli(capsys, "atoms", "--ring", ring)
@@ -191,6 +193,18 @@ def test_exit_usage_on_bad_formula(capsys):
 def test_exit_usage_on_bad_ring(capsys):
     code, _, err = run_cli(capsys, "atoms", "--ring", "zmod:1")
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ("parse", "4097 = 0"),
+    ("parse", "(" * 3000 + "x0 = 0" + ")" * 3000),
+    ("parse", "~" * 700 + "x0 = 0"),
+    ("atoms", "--ring", "zmod:1000001"),
+    ("atoms", "--ring", "product:zmod:1000,zmod:1001"),
+], ids=["numeral", "parentheses", "negations", "zmod", "product"])
+def test_exit_usage_on_oversized_input(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE and out == "" and err.startswith("error:")
 
 
 def test_exit_usage_on_unknown_subcommand(capsys):

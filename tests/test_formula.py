@@ -34,7 +34,7 @@ def test_parse_numerals_desugar():
     assert parse_ring_formula("3 = 1+1+1") == Eq(three, three)
 
 
-@pytest.mark.parametrize("k", range(9))
+@pytest.mark.parametrize("k", [*range(9), 4096])
 def test_numeral_round_trip(k):
     assert parse_ring_formula(f"{k} = 0") == Eq(numeral(k), ZERO)
     assert parse_ring_formula(format_ring_formula(Eq(numeral(k), ZERO))) \

@@ -87,9 +87,7 @@ def test_normalize_output_is_partition_sequence(z6, z60):
     for ring in (z6, z60):
         B = idempotent_algebra(ring)
         for v in ring.elements:
-            values = [bv.element for bv in
-                      boolean_value_batch(ring, seq.cells, {0: v})]
-            assert is_partition(B, values)
+            assert is_partition(B, boolean_value_batch(ring, seq.cells, {0: v}))
 
 
 def test_normalize_preserves_satisfaction(z6):
@@ -101,9 +99,8 @@ def test_normalize_preserves_satisfaction(z6):
     for v in z6.elements:
         old = boolean_value_batch(z6, (a, b), {0: v})
         new = boolean_value_batch(z6, seq.cells, {0: v})
-        lhs = eval_bool_formula(B, phi, {i: bv.element for i, bv in enumerate(old)})
-        rhs = eval_bool_formula(B, seq.bool_formula,
-                                {i: bv.element for i, bv in enumerate(new)})
+        lhs = eval_bool_formula(B, phi, dict(enumerate(old)))
+        rhs = eval_bool_formula(B, seq.bool_formula, dict(enumerate(new)))
         assert lhs == rhs
 
 
@@ -124,9 +121,9 @@ def test_conjunction_refinement_row_joins(z6, z60):
         B = idempotent_algebra(ring)
         for v in ring.elements:
             env = {0: v}
-            row = [bv.element for bv in boolean_value_batch(ring, left.cells, env)]
-            col = [bv.element for bv in boolean_value_batch(ring, right.cells, env)]
-            grid = [bv.element for bv in boolean_value_batch(ring, combined.cells, env)]
+            row = boolean_value_batch(ring, left.cells, env)
+            col = boolean_value_batch(ring, right.cells, env)
+            grid = boolean_value_batch(ring, combined.cells, env)
             for i in range(a):
                 joined = ring.zero
                 for j in range(b):
@@ -164,9 +161,7 @@ def test_eval_via_fv_matches_naive_composition(z6, z2xz3):
         for v in ring.elements:
             env = {0: v}
             values = boolean_value_batch(ring, result.cells, env)
-            naive = eval_bool_formula(
-                B, result.bool_formula,
-                {i: bv.element for i, bv in enumerate(values)})
+            naive = eval_bool_formula(B, result.bool_formula, dict(enumerate(values)))
             assert ev.evaluate(env) == naive == eval_via_fv(ring, f, env)
 
 
