@@ -25,6 +25,10 @@ W_OFFSET = 1 << 20
 # A numeral k parses to about 2k nodes, so larger ones are refused up front.
 MAX_NUMERAL = 4096
 
+# int() refuses longer digit strings (CPython's default conversion limit), so
+# longer digit runs are refused up front, leading zeros not counted.
+MAX_DIGITS = 4300
+
 
 class ParseError(ValueError):
     def __init__(self, message, line=1, column=1):
@@ -471,6 +475,14 @@ _RING_OPS = ("->", "+", "-", "*", "=", "~", "&", "|", "(", ")", ".")
 _BOOL_OPS = ("->", "<=", "^", "=", "~", "&", "|", "(", ")", ".", ",")
 
 
+def _digit_value(digits: str, what: str, col: int) -> int:
+    significant = digits.lstrip("0")
+    if len(significant) > MAX_DIGITS:
+        raise ParseError(f"{what} has {len(significant)} digits, more than {MAX_DIGITS}",
+                         column=col)
+    return int(significant or "0")
+
+
 def _tokenize(text: str, lang: str):
     ops = _RING_OPS if lang == "ring" else _BOOL_OPS
     tokens = []
@@ -481,11 +493,11 @@ def _tokenize(text: str, lang: str):
             i += 1
             continue
         col = i + 1
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
-            value = int(text[i:j])
+            value = _digit_value(text[i:j], "numeral", col)
             if lang == "ring" and value > MAX_NUMERAL:
                 raise ParseError(f"numeral {value} is above the limit {MAX_NUMERAL}",
                                  column=col)
@@ -502,12 +514,13 @@ def _tokenize(text: str, lang: str):
                 tokens.append(("quant", word, col))
             elif lang == "bool" and word == "v":
                 tokens.append(("op", "v", col))
-            elif lang == "bool" and word.startswith("part") and word[4:].isdigit():
-                tokens.append(("part", int(word[4:]), col))
+            elif lang == "bool" and word.startswith("part") and word[4:].isdecimal():
+                arity = _digit_value(word[4:], "partition arity", col)
+                tokens.append(("part", arity, col))
             else:
                 letters = "x" if lang == "ring" else "yw"
-                if word[0] in letters and word[1:].isdigit():
-                    idx = int(word[1:])
+                if word[0] in letters and word[1:].isdecimal():
+                    idx = _digit_value(word[1:], "variable index", col)
                     if word[0] == "w":
                         idx += W_OFFSET
                     tokens.append(("var", idx, col))

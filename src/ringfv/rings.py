@@ -190,12 +190,30 @@ class TableRing(FiniteRing):
                     break
 
 
+class _Multiples(dict):
+    """The map x -> ex of a ring, filled one x at a time on first lookup."""
+
+    def __init__(self, ring: FiniteRing, e):
+        super().__init__()
+        self._mul = ring.mul
+        self._e = e
+
+    def __missing__(self, x):
+        y = self[x] = self._mul(self._e, x)
+        return y
+
+
 class Stalk(FiniteRing):
-    """The ring eR at a nonzero idempotent e, with unit e."""
+    """The ring eR at a nonzero idempotent e, with unit e.
+
+    localized[x] is ex for x in the parent ring; the table fills on demand,
+    so it never holds more than the values actually localized.
+    """
 
     def __init__(self, parent: FiniteRing, e):
         self.parent = parent
         self.unit = e
+        self.localized = _Multiples(parent, e)
         self.label = f"{parent.label} at {e}"
         seen = set()
         carrier = []
@@ -256,19 +274,17 @@ def stalk(ring: FiniteRing, e) -> Stalk:
         raise RingError("cannot localize at 0")
     if not ring.is_idempotent(e):
         raise RingError(f"{e} is not idempotent")
-    return _stalks_by_unit(ring)[e]
+    return _stalk(ring, e)
 
 
 @functools.lru_cache(maxsize=None)
-def _stalks_by_unit(ring: FiniteRing) -> dict:
-    return {e: Stalk(ring, e)
-            for e in idempotents(ring) if e != ring.zero}
+def _stalk(ring: FiniteRing, e) -> Stalk:
+    return Stalk(ring, e)
 
 
 def atom_stalks(ring: FiniteRing) -> tuple:
-    """Stalks at the atoms, aligned with atoms(ring)."""
-    by_unit = _stalks_by_unit(ring)
-    return tuple(by_unit[e] for e in atoms(ring))
+    """Stalks at the atoms, aligned with atoms(ring); only these are built."""
+    return tuple(_stalk(ring, e) for e in atoms(ring))
 
 
 def is_connected(ring: FiniteRing) -> bool:

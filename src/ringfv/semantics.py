@@ -7,6 +7,8 @@ short-circuited but otherwise unoptimized on purpose.
 
 from __future__ import annotations
 
+from operator import or_
+
 from .formula import (Add, And, Eq, Exists, Forall, Implies, Mul, Not, One,
                       Or, RingFormula, Sub, Var, Zero, free_variables)
 from .rings import FiniteRing, atom_stalks, atoms
@@ -112,38 +114,81 @@ def boolean_value_batch(ring: FiniteRing, formulas, env=None) -> list:
     return values
 
 
+def signed_leaves(formula) -> tuple:
+    """The formula read as a conjunction of signed leaves, left to right.
+
+    And is flattened under a positive sign and Not flips the sign; anything
+    else (Eq, a quantifier, Or, Implies, a negated And) is one leaf.  The
+    formula holds iff every leaf evaluates to its sign.
+    """
+    out, stack = [], [(formula, True)]
+    while stack:
+        f, positive = stack.pop()
+        if isinstance(f, Not):
+            stack.append((f.body, not positive))
+        elif positive and isinstance(f, And):
+            stack += ((f.right, True), (f.left, True))
+        else:
+            out.append((f, positive))
+    return tuple(out)
+
+
 class StalkValueCache:
     """Boolean values of a fixed cell tuple, memoized per stalk.
 
-    A cell's truth in a stalk depends only on the localized assignment
-    restricted to the cell's free variables, so verdicts are cached per
-    (cell, projected assignment).  masks() returns, per cell, the set of
-    atoms whose stalks satisfy it, encoded as a bitmask in atom order;
+    Leaves: each cell is read as a conjunction of signed leaves
+    (signed_leaves), and the distinct leaves of all cells are numbered once,
+    so a cell is a pair of leaf bitsets, the leaves that must hold and the
+    leaves that must fail.
+
+    Rows: a cell's truth in a stalk depends only on the localized
+    assignment, so each stalk memoizes one row per localized tuple of the
+    union of the cells' free variables.  On a miss every distinct leaf is
+    evaluated once with _eval, and the row holds, per cell, the stalk's
+    atom bit if the leaf verdicts match the cell's signs, else 0.
+
+    Localization goes through the stalk's x -> ex table (Stalk.localized),
+    which fills on demand.  masks() ORs the rows of all stalks: per cell,
+    the set of atoms whose stalks satisfy it, as a bitmask in atom order;
     that set determines the Boolean value (join of those atoms).
     """
 
     def __init__(self, ring: FiniteRing, cells):
-        self.ring = ring
-        self.cells = tuple(cells)
-        self.atoms = atoms(ring)
-        self.stalks = atom_stalks(ring)
-        self.full = (1 << len(self.atoms)) - 1
-        self._cell_vars = [tuple(sorted(free_variables(c))) for c in self.cells]
-        self._memo = [dict() for _ in self.stalks]
+        cells = tuple(cells)
+        stalks = atom_stalks(ring)
+        self.full = (1 << len(stalks)) - 1
+        index = {}
+        self._signs = []
+        for cell in cells:
+            pos = neg = 0
+            for leaf, positive in signed_leaves(cell):
+                bit = 1 << index.setdefault(leaf, len(index))
+                if positive:
+                    pos |= bit
+                else:
+                    neg |= bit
+            self._signs.append((pos, neg))
+        self._leaves = tuple(index)
+        self._vars = tuple(sorted(set().union(*map(free_variables, cells))))
+        self._stalks = [(st, 1 << ai, {}) for ai, st in enumerate(stalks)]
+
+    def _row(self, st, bit, key) -> tuple:
+        env = dict(zip(self._vars, key))
+        truth = 0
+        for li, leaf in enumerate(self._leaves):
+            if _eval(st, leaf, env):
+                truth |= 1 << li
+        return tuple(bit if truth & pos == pos and not truth & neg else 0
+                     for pos, neg in self._signs)
 
     def masks(self, env) -> tuple:
-        out = [0] * len(self.cells)
-        mul = self.ring.mul
-        for ai, st in enumerate(self.stalks):
-            e = st.unit
-            local = {i: mul(e, v) for i, v in env.items()}
-            memo = self._memo[ai]
-            for ci, cell in enumerate(self.cells):
-                key = (ci,) + tuple(local[i] for i in self._cell_vars[ci])
-                hit = memo.get(key)
-                if hit is None:
-                    hit = _eval(st, cell, {i: local[i] for i in self._cell_vars[ci]})
-                    memo[key] = hit
-                if hit:
-                    out[ci] |= 1 << ai
-        return tuple(out)
+        values = [env[i] for i in self._vars]
+        out = None
+        for st, bit, memo in self._stalks:
+            local = st.localized
+            key = tuple([local[v] for v in values])
+            row = memo.get(key)
+            if row is None:
+                row = memo[key] = self._row(st, bit, key)
+            out = row if out is None else tuple(map(or_, out, row))
+        return out

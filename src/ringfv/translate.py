@@ -194,11 +194,14 @@ def translate(formula: RingFormula, max_quantifier_depth: int = 3) -> Translatio
 class FvEvaluator:
     """Evaluates one translation on one ring, with transparent caching.
 
-    Cell values go through a StalkValueCache; psi is decided by eval_psi,
-    which walks atom-to-cell assignments inside each phi_star block, and
-    its verdicts are memoized per tuple of cell values.  Results are
-    identical to composing boolean_value_batch with eval_bool_formula;
-    tests pin that.
+    Cell values go through a StalkValueCache: the cells' distinct signed
+    leaves (the candidate existentials and atomic formulas their sign
+    patterns repeat) are evaluated once per stalk and localized assignment,
+    localized through each stalk's lazy x -> ex table, and one memo row per
+    stalk gives every cell's atom bit.  psi is decided by eval_psi, which
+    walks atom-to-cell assignments inside each phi_star block, and its
+    verdicts are memoized per tuple of cell values.  Results are identical
+    to composing boolean_value_batch with eval_bool_formula; tests pin that.
     """
 
     def __init__(self, ring: FiniteRing, translation: TranslationResult):

@@ -207,6 +207,28 @@ def test_exit_usage_on_oversized_input(capsys, argv):
     assert code == EXIT_USAGE and out == "" and err.startswith("error:")
 
 
+LONG_RUN = "9" * 5000
+
+
+@pytest.mark.parametrize("argv, column", [
+    (("parse", "x0 = " + LONG_RUN), 6),
+    (("parse", "x0 = x" + LONG_RUN), 6),
+    (("parse", "--lang", "bool", "y0 = y0 & part" + LONG_RUN + "(y0)"), 11),
+], ids=["numeral", "variable-index", "part-arity"])
+def test_long_digit_run_is_a_parse_error(capsys, argv, column):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith(f"error: 1:{column}: ") and err.count("\n") == 1
+    assert "set_int_max_str_digits" not in err
+
+
+def test_atoms_on_twelve_factor_product(capsys):
+    ring = "product:" + ",".join(["zmod:2"] * 12)
+    code, out, _ = run_cli(capsys, "atoms", "--ring", ring)
+    assert code == EXIT_OK
+    assert out.count(": 2 elements, connected") == 12
+
+
 def test_exit_usage_on_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
     capsys.readouterr()

@@ -34,6 +34,12 @@ def test_parse_numerals_desugar():
     assert parse_ring_formula("3 = 1+1+1") == Eq(three, three)
 
 
+def test_leading_zeros_do_not_count_toward_the_digit_limit():
+    assert parse_ring_formula("0004096 = 0") == Eq(numeral(4096), ZERO)
+    assert parse_ring_formula("0" * 5000 + "7 = x" + "0" * 5000 + "3") \
+        == Eq(numeral(7), Var(3))
+
+
 @pytest.mark.parametrize("k", [*range(9), 4096])
 def test_numeral_round_trip(k):
     assert parse_ring_formula(f"{k} = 0") == Eq(numeral(k), ZERO)

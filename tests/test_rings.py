@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from ringfv import rings
 from ringfv.formula import parse_ring_formula
 from ringfv.rings import (RingError, Stalk, atom_stalks, atoms, idempotents,
                           is_connected, modular_ring, product_ring, stalk,
@@ -206,6 +207,31 @@ def test_atom_stalks_aligned(z6):
     stalks = atom_stalks(z6)
     assert [s.unit for s in stalks] == list(atoms(z6))
     assert all(isinstance(s, Stalk) for s in stalks)
+
+
+def test_only_atom_stalks_are_built(monkeypatch):
+    built = []
+
+    class CountingStalk(Stalk):
+        def __init__(self, parent, e):
+            built.append(e)
+            super().__init__(parent, e)
+
+    monkeypatch.setattr(rings, "Stalk", CountingStalk)
+    ring = product_ring([modular_ring(2)] * 10)
+    stalks = atom_stalks(ring)
+    assert len(built) == len(atoms(ring)) == len(stalks) == 10
+    whole = stalk(ring, ring.one)
+    assert whole.size == ring.size and len(built) == 11
+    assert stalk(ring, ring.one) is whole and len(built) == 11
+    assert stalk(ring, atoms(ring)[0]) is stalks[0] and len(built) == 11
+
+
+def test_localized_table_fills_on_demand():
+    s = stalk(modular_ring(6), 4)
+    assert len(s.localized) == 0
+    assert [s.localized[x] for x in (5, 3, 5)] == [2, 0, 2]
+    assert dict(s.localized) == {5: 2, 3: 0}
 
 
 def test_stalk_agrees_with_quotient_presentation():

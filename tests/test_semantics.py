@@ -8,10 +8,10 @@ import pytest
 from ringfv.boolalg import idempotent_algebra
 from ringfv.formula import (And, Not, Or, canonicalize, free_variables,
                             parse_ring_formula)
-from ringfv.rings import atoms, modular_ring, stalk
+from ringfv.rings import atoms, modular_ring, product_ring, stalk, table_ring
 from ringfv.semantics import (StalkValueCache, UnboundVariableError,
                               boolean_value, boolean_value_batch, eval_direct,
-                              localize_assignment)
+                              localize_assignment, signed_leaves)
 
 IDEMPOTENT_PROBE = "E x0. x0*x0 = x0 & ~(x0 = 0) & ~(x0 = 1)"
 
@@ -150,3 +150,53 @@ def test_stalk_value_cache_matches_batch(z60):
         masks = cache.masks({0: v})
         values = boolean_value_batch(z60, cells, {0: v})
         assert [B.element_of_mask(mask) for mask in masks] == values
+
+
+def test_signed_leaves_flatten_and_flip():
+    a, b, c = (parse_ring_formula(t) for t in ("x0 = 0", "x1 = 1", "E x2. x2 = x0"))
+    assert signed_leaves(And(And(a, Not(b)), Not(Not(c)))) \
+        == ((a, True), (b, False), (c, True))
+    assert signed_leaves(Not(And(a, b))) == ((And(a, b), False),)
+    assert signed_leaves(Not(Not(And(a, b)))) == ((a, True), (b, True))
+    assert signed_leaves(Or(a, b)) == ((Or(a, b), True),)
+
+
+def _z12_as_tables():
+    add = [[(a + b) % 12 for b in range(12)] for a in range(12)]
+    mul = [[a * b % 12 for b in range(12)] for a in range(12)]
+    return table_ring(add, mul, 0, 1, label="Z/12 as tables")
+
+
+CACHE_CELLS = (
+    "x0 = 0 | x1 = 1",                               # Or leaf
+    "(x0 = 1 -> x1 = 0) & ~(A x2. x0*x2 = x2)",      # Implies, negated Forall
+    "A x2. x2*x0 = x0 & x1 = x1",                    # Forall leaf
+    "~~(E x2. x0*x2 = 1) & ~(x0 = 0 & x1 = 0)",      # ~~theta, negated And
+    "x0*x0 = x0",                                    # only x0 ...
+    "~(x1 + x1 = 0)",                                # ... only x1
+    "E x0. x0*x0 = x0 & ~(x0 = 0) & ~(x0 = 1)",      # closed
+    "~(A x0. x0 = 0)",                               # closed
+    "x0 = 0 & ~(x0 = 0)",                            # a leaf with both signs
+)
+
+
+@pytest.mark.parametrize("ring", [
+    modular_ring(12), product_ring([modular_ring(2), modular_ring(9)]),
+    _z12_as_tables()], ids=["Z/12", "Z/2 x Z/9", "table"])
+def test_stalk_value_cache_matches_batch_on_mixed_cells(ring):
+    """Rows keyed by all cells' variables give each cell its own value."""
+    rng = random.Random(5)
+    elems = list(ring.elements)
+    ring_atoms = atoms(ring)
+    parsed = [parse_ring_formula(t) for t in CACHE_CELLS]
+    parsed.append(Not(Not(parsed[0])))
+    for trial in range(3):
+        cells = tuple(rng.sample(parsed, k=rng.randrange(1, len(parsed) + 1)))
+        cache = StalkValueCache(ring, cells)
+        for _ in range(40):
+            # x5 is bound but occurs in no cell
+            env = {i: elems[rng.randrange(len(elems))] for i in (0, 1, 5)}
+            expected = tuple(
+                sum(1 << i for i, e in enumerate(ring_atoms) if ring.mul(e, v) == e)
+                for v in boolean_value_batch(ring, cells, env))
+            assert cache.masks(env) == expected
