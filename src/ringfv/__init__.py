@@ -9,7 +9,7 @@ from .formula import (BoolFormula, BoolTerm, ParseError, RingFormula, RingTerm,
 from .rings import (FiniteRing, RingError, Stalk, atoms, idempotents,
                     is_connected, modular_ring, product_ring, stalk, table_ring)
 from .boolalg import (IdempotentAlgebra, bool_to_ring_formula,
-                      eval_bool_formula, idempotent_algebra, is_partition,
+                      eval_bool_formula, idempotent_algebra,
                       make_partition_formula, phi_star)
 from .semantics import (UnboundVariableError, boolean_value,
                         boolean_value_batch, eval_direct)

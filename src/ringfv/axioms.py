@@ -12,8 +12,9 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .boolalg import (_beval, idempotent_algebra, make_partition_formula,
-                      masks_form_partition, partitions_within, phi_star)
+from .boolalg import (_beval, eval_psi, idempotent_algebra,
+                      make_partition_formula, masks_form_partition,
+                      partitions_within, phi_star)
 from .formula import (And, BEq, BNot, BVar, Exists, Not, TOP, BOT,
                       format_bool_formula, format_ring_formula, free_variables,
                       leq, parse_ring_formula)
@@ -231,7 +232,10 @@ def check_axiom5(ring: FiniteRing, phis=None, partition_sequences=None,
 
     (1) some g in R makes phi* hold at the Boolean values of the cells at
     (fbar, g); (2) some partition Y_j <= [[exists x theta_j]] satisfies
-    phi.  Decided exhaustively on both sides and compared.
+    phi.  Side (1) runs eval_psi on phi* at each distinct value tuple the
+    witnesses g reach, so each phi* block walks the partitions under the
+    cell values; side (2) walks partitions_within the existential values.
+    The two verdicts are compared.
     """
     budget = budget or DEFAULT_BUDGET
     sequences = partition_sequences or default_partition_sequences()
@@ -243,13 +247,12 @@ def check_axiom5(ring: FiniteRing, phis=None, partition_sequences=None,
         for c in cells:
             cell_fv |= free_variables(c)
         params = sorted(cell_fv - {witness})
-        pairs = [(phi, phi_star(phi, m))
-                 for phi in (phis or default_phi_pool(m + 1))]
+        # per phi: phi*, then memos of each side keyed by mask tuples
+        pool = [(phi, phi_star(phi, m), {}, {})
+                for phi in (phis or default_phi_pool(m + 1))]
         cache = StalkValueCache(ring, cells)
         exists_cache = StalkValueCache(
             ring, tuple(Exists(witness, c) for c in cells))
-        star_memo = {}
-        side2_memo = {}
         for env in _assignments(ring, params, budget):
             value_tuples = {}
             for g in ring.elements:
@@ -260,22 +263,21 @@ def check_axiom5(ring: FiniteRing, phis=None, partition_sequences=None,
                         f"on {ring.label} at {_env_json(env)}, witness {g!r}")
                 value_tuples.setdefault(masks, g)
             bounds = exists_cache.masks(env)
-            for phi, star in pairs:
+            for phi, star, star_memo, side2_memo in pool:
                 instances += 1
                 side1 = False
                 for masks in value_tuples:
-                    hit = star_memo.get((star, masks))
+                    hit = star_memo.get(masks)
                     if hit is None:
-                        hit = _beval(star, dict(enumerate(masks)), full)
-                        star_memo[star, masks] = hit
+                        hit = star_memo[masks] = eval_psi(star, masks, full)
                     if hit:
                         side1 = True
                         break
-                side2 = side2_memo.get((phi, bounds))
+                side2 = side2_memo.get(bounds)
                 if side2 is None:
-                    side2 = any(_beval(phi, dict(enumerate(ws)), full)
-                                for ws in partitions_within(bounds, full))
-                    side2_memo[phi, bounds] = side2
+                    side2 = side2_memo[bounds] = any(
+                        _beval(phi, dict(enumerate(ws)), full)
+                        for ws in partitions_within(bounds, full))
                 if side1 != side2:
                     return _report(ring, "axiom5", instances, {
                         "phi": format_bool_formula(phi),

@@ -10,7 +10,8 @@ eval_psi gives the same verdicts faster.  It decides each phi_star block
 (some partition w_0..w_m with w_j <= t_j satisfies phi) by walking the
 assignments of atoms to cells, because those are exactly the partitions
 of a finite atomic algebra (the finite Feferman-Vaught reduction): at most
-(m+1)^atoms steps instead of (2^atoms)^(m+1).
+(m+1)^atoms steps instead of (2^atoms)^(m+1).  Axiom 5's checker decides
+its patching side, phi* at the cells' values, with eval_psi too.
 """
 
 from __future__ import annotations
@@ -346,9 +347,3 @@ def bool_to_ring_formula(f: BoolFormula) -> RingFormula:
     if isinstance(f, BForall):
         return Forall(f.var, Implies(_idempotence_guard(f.var), bool_to_ring_formula(f.body)))
     raise TypeError(f"not a Boolean formula: {f!r}")
-
-
-def is_partition(algebra: IdempotentAlgebra, cells) -> bool:
-    """Join of the cells is 1 and pairwise meets are 0."""
-    return masks_form_partition([algebra.atom_mask(c) for c in cells],
-                                (1 << len(algebra.atoms)) - 1)

@@ -15,8 +15,9 @@ import math
 import sys
 
 from .axioms import CheckBudget, run_axiom_suite
-from .formula import (ParseError, canonicalize, format_ring_formula,
-                      free_variables, parse_bool_formula, parse_ring_formula)
+from .formula import (MAX_DIGITS, ParseError, canonicalize,
+                      format_ring_formula, free_variables, parse_bool_formula,
+                      parse_ring_formula)
 from .residue import DEFAULT_SENTENCES
 from .rings import (RingError, atom_stalks, atoms, idempotents, is_connected,
                     modular_ring, product_ring, table_ring)
@@ -99,8 +100,12 @@ def parse_assignment(text: str, ring) -> dict:
     for item in _split_top_level(text):
         name, _, literal = item.partition("=")
         name = name.strip()
-        if not (name.startswith("x") and name[1:].isdigit()):
+        if not (name.startswith("x") and name[1:].isdecimal()):
             raise ValueError(f"bad assignment variable {name!r}")
+        index = name[1:].lstrip("0")
+        if len(index) > MAX_DIGITS:
+            raise ValueError(f"assignment variable index has {len(index)} "
+                             f"digits, more than {MAX_DIGITS}")
         try:
             value = ast.literal_eval(literal.strip())
         except SyntaxError:
@@ -112,7 +117,7 @@ def parse_assignment(text: str, ring) -> dict:
             value = ring.elements[ring.elements.index(value)]
         except ValueError:
             raise ValueError(f"{value!r} is not an element of {ring.label}") from None
-        env[int(name[1:])] = value
+        env[int(index or "0")] = value
     return env
 
 

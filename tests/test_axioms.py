@@ -1,15 +1,18 @@
 """The executable axiom checkers."""
 
+import itertools
+
 import pytest
 
 from ringfv.axioms import (CheckBudget, check_axiom1, check_axiom2,
                            check_axiom3, check_axiom4, check_axiom5,
-                           default_partition_sequences, patch_witness,
-                           run_axiom_suite)
-from ringfv.boolalg import idempotent_algebra
-from ringfv.formula import Exists, parse_ring_formula
+                           default_partition_sequences, default_phi_pool,
+                           patch_witness, run_axiom_suite)
+from ringfv.boolalg import _beval, eval_psi, idempotent_algebra, phi_star
+from ringfv.formula import Exists, free_variables, parse_ring_formula
 from ringfv.rings import ModularRing, atoms, modular_ring, product_ring
-from ringfv.semantics import boolean_value, boolean_value_batch
+from ringfv.semantics import (StalkValueCache, boolean_value,
+                              boolean_value_batch)
 
 FAST = CheckBudget(max_formulas=10, max_assignments=24)
 
@@ -113,6 +116,33 @@ def test_axiom5_isomorphic_rings_agree(z6, z2xz3):
     r2 = check_axiom5(z2xz3, budget=FAST)
     assert r1.passed and r2.passed
     assert r1.instances == r2.instances
+
+
+@pytest.mark.parametrize("ring", [
+    modular_ring(4), modular_ring(6),
+    product_ring([modular_ring(2), modular_ring(2)])],
+    ids=["Z4", "Z6", "Z2xZ2"])
+def test_axiom5_patching_side_matches_literal_beval(ring):
+    """check_axiom5 decides phi* by eval_psi; the literal _beval reading
+    must give the same verdict at every value tuple any witness reaches,
+    for every partition sequence and phi the checker uses."""
+    full = (1 << len(atoms(ring))) - 1
+    verdicts = []
+    for cells, witness in default_partition_sequences():
+        m = len(cells) - 1
+        params = sorted(set().union(*map(free_variables, cells)) - {witness})
+        cache = StalkValueCache(ring, cells)
+        value_tuples = {
+            cache.masks({**dict(zip(params, vals)), witness: g})
+            for vals in itertools.product(ring.elements, repeat=len(params))
+            for g in ring.elements}
+        for phi in default_phi_pool(m + 1):
+            star = phi_star(phi, m)
+            for masks in value_tuples:
+                literal = _beval(star, dict(enumerate(masks)), full)
+                assert eval_psi(star, masks, full) == literal, (phi, masks)
+                verdicts.append(literal)
+    assert True in verdicts and False in verdicts
 
 
 def test_axiom5_patched_witness_reproduces_partition(z6):

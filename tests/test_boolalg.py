@@ -6,8 +6,8 @@ import random
 import pytest
 
 from ringfv.boolalg import (bool_to_ring_formula, eval_bool_formula,
-                            idempotent_algebra, is_partition,
-                            make_partition_formula, phi_star)
+                            idempotent_algebra, make_partition_formula,
+                            masks_form_partition, phi_star)
 from ringfv.formula import (BEq, BVar, TOP, format_bool_formula,
                             free_variables, parse_bool_formula)
 from ringfv.rings import idempotents, modular_ring, product_ring
@@ -119,10 +119,12 @@ def test_make_partition_formula_shapes():
 
 def test_partition_type(z6):
     B = idempotent_algebra(z6)
-    assert is_partition(B, (3, 4))
-    assert is_partition(B, (0, 1))  # zero cells allowed
-    assert not is_partition(B, (3, 3))
-    assert not is_partition(B, (3,))
+    full = (1 << len(B.atoms)) - 1
+    assert masks_form_partition([B.atom_mask(c) for c in (3, 4)], full)
+    # zero cells allowed
+    assert masks_form_partition([B.atom_mask(c) for c in (0, 1)], full)
+    assert not masks_form_partition([B.atom_mask(c) for c in (3, 3)], full)
+    assert not masks_form_partition([B.atom_mask(c) for c in (3,)], full)
 
 
 def test_atomicity(suite_rings):

@@ -222,6 +222,20 @@ def test_long_digit_run_is_a_parse_error(capsys, argv, column):
     assert "set_int_max_str_digits" not in err
 
 
+@pytest.mark.parametrize("name", ["x" + LONG_RUN, "x\u00b2"],
+                         ids=["long-index", "superscript-digit"])
+def test_bad_assignment_variable_is_a_usage_error(capsys, name):
+    code, out, err = run_cli(capsys, "eval", "--ring", "zmod:6",
+                             "--formula", "x0 = 0", "--assign", name + "=1")
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "set_int_max_str_digits" not in err and "int()" not in err
+
+
+def test_assignment_index_leading_zeros_do_not_count():
+    assert parse_assignment("x" + "0" * 5000 + "3=2", modular_ring(6)) == {3: 2}
+
+
 def test_atoms_on_twelve_factor_product(capsys):
     ring = "product:" + ",".join(["zmod:2"] * 12)
     code, out, _ = run_cli(capsys, "atoms", "--ring", ring)
