@@ -8,19 +8,17 @@ from .formula import (BoolFormula, BoolTerm, ParseError, RingFormula, RingTerm,
                       substitute)
 from .rings import (FiniteRing, RingError, Stalk, atoms, idempotents,
                     is_connected, modular_ring, product_ring, stalk, table_ring)
-from .boolalg import (IdempotentAlgebra, bool_to_ring_formula,
-                      eval_bool_formula, idempotent_algebra,
+from .boolalg import (IdempotentAlgebra, eval_bool_formula, idempotent_algebra,
                       make_partition_formula, phi_star)
 from .semantics import (UnboundVariableError, boolean_value,
                         boolean_value_batch, eval_direct)
-from .translate import (AcceptableSequence, TranslationDepthError,
-                        TranslationResult, TranslationSizeError, eval_via_fv,
+from .translate import (TranslationDepthError, TranslationResult,
+                        TranslationSizeError, eval_via_fv,
                         normalize_to_partition, oracle_sweep, translate)
 from .axioms import (AxiomReport, CheckBudget, check_axiom1, check_axiom2,
                      check_axiom3, check_axiom4, check_axiom5, run_axiom_suite)
-from .residue import (AtomTable, DEFAULT_SENTENCES, PrimePowerDecomposition,
-                      atom_table, check_theorem_main, crt_solve, factor,
-                      stalk_isomorphism_check)
+from .residue import (DEFAULT_SENTENCES, PrimePowerDecomposition, atom_table,
+                      check_theorem_main, crt_solve, factor)
 from .suites import default_depth2, formula_suite, ring_suite
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -19,12 +19,10 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .formula import (And, BAnd, BEq, BExists, BForall, BImplies, BNot, BOr,
-                      Bot, BoolFormula, BoolTerm, BVar, Complement, Eq, Exists,
-                      Forall, Implies, Join, Meet, Mul, Not, ONE, Or,
-                      RingFormula, Top, Var, ZERO, free_variables, leq,
-                      max_var_index, partition_conditions, substitute_bool,
-                      Add, Sub)
+from .formula import (BAnd, BEq, BExists, BForall, BImplies, BNot, BOr, Bot,
+                      BoolFormula, BVar, Complement, Join, Meet, Top,
+                      free_variables, leq, max_var_index, partition_conditions,
+                      substitute_bool)
 from .rings import FiniteRing, atoms, idempotents
 from .semantics import UnboundVariableError
 
@@ -302,48 +300,3 @@ def eval_psi(formula: BoolFormula, masks, full: int) -> bool:
     by partitions_within; every other quantifier runs over all masks.
     """
     return _peval(formula, dict(enumerate(masks)), full)
-
-
-def _idempotence_guard(index: int) -> RingFormula:
-    return Eq(Mul(Var(index), Var(index)), Var(index))
-
-
-def _ring_term(t: BoolTerm):
-    if isinstance(t, BVar):
-        return Var(t.index)
-    if isinstance(t, Bot):
-        return ZERO
-    if isinstance(t, Top):
-        return ONE
-    if isinstance(t, Complement):
-        return Sub(ONE, _ring_term(t.body))
-    l = _ring_term(t.left)
-    r = _ring_term(t.right)
-    if isinstance(t, Meet):
-        return Mul(l, r)
-    if isinstance(t, Join):
-        return Sub(Add(l, r), Mul(l, r))
-    raise TypeError(f"not a Boolean term: {t!r}")
-
-
-def bool_to_ring_formula(f: BoolFormula) -> RingFormula:
-    """Interpret a B-formula inside the ring language.
-
-    Boolean operations expand to their ring definitions and every
-    quantifier is relativized to idempotents by an x*x = x guard.
-    """
-    if isinstance(f, BEq):
-        return Eq(_ring_term(f.left), _ring_term(f.right))
-    if isinstance(f, BNot):
-        return Not(bool_to_ring_formula(f.body))
-    if isinstance(f, BAnd):
-        return And(bool_to_ring_formula(f.left), bool_to_ring_formula(f.right))
-    if isinstance(f, BOr):
-        return Or(bool_to_ring_formula(f.left), bool_to_ring_formula(f.right))
-    if isinstance(f, BImplies):
-        return Implies(bool_to_ring_formula(f.left), bool_to_ring_formula(f.right))
-    if isinstance(f, BExists):
-        return Exists(f.var, And(_idempotence_guard(f.var), bool_to_ring_formula(f.body)))
-    if isinstance(f, BForall):
-        return Forall(f.var, Implies(_idempotence_guard(f.var), bool_to_ring_formula(f.body)))
-    raise TypeError(f"not a Boolean formula: {f!r}")

@@ -15,21 +15,38 @@ import math
 import sys
 
 from .axioms import CheckBudget, run_axiom_suite
-from .formula import (MAX_DIGITS, ParseError, canonicalize,
-                      format_ring_formula, free_variables, parse_bool_formula,
-                      parse_ring_formula)
-from .residue import DEFAULT_SENTENCES
-from .rings import (RingError, atom_stalks, atoms, idempotents, is_connected,
+from .formula import (MAX_DIGITS, canonicalize, format_ring_formula,
+                      free_variables, parse_bool_formula, parse_ring_formula)
+from .residue import DEFAULT_SENTENCES, compare_sentences
+from .rings import (atom_stalks, atoms, idempotents, is_connected,
                     modular_ring, product_ring, table_ring)
-from .semantics import UnboundVariableError, boolean_value, eval_direct
+from .semantics import boolean_value, eval_direct
 from .suites import available_suites, formula_suite
-from .translate import (TranslationDepthError, TranslationSizeError,
-                        eval_via_fv, oracle_sweep, translate)
+from .translate import oracle_sweep, translate
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
 # Every command that takes a ring scans its carrier, so larger rings are refused.
 MAX_RING_SIZE = 10**6
+# Longer than any element literal of a ring within MAX_RING_SIZE.
+MAX_LITERAL = 1000
+
+
+def _echo(text: str) -> str:
+    """Input echoed in an error message, cut so the message stays one short line."""
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+
+
+def _parse_decimal(digits: str, what: str) -> int:
+    """The tokenizer's numeral rule: decimal digits only, at most MAX_DIGITS
+    of them after leading zeros, checked before int() runs."""
+    if not digits.isdecimal():
+        raise ValueError(f"bad {what} {_echo(repr(digits))}")
+    significant = digits.lstrip("0")
+    if len(significant) > MAX_DIGITS:
+        raise ValueError(f"{what} has {len(significant)} digits, "
+                         f"more than {MAX_DIGITS}")
+    return int(significant or "0")
 
 
 def _check_ring_size(text: str, size: int) -> None:
@@ -41,7 +58,7 @@ def _check_ring_size(text: str, size: int) -> None:
 def parse_ring_descriptor(text: str):
     """zmod:<n>, product:<desc>,<desc>,... (flat), or table:@<json file>."""
     if text.startswith("zmod:"):
-        n = int(text[5:])
+        n = _parse_decimal(text[5:], "zmod modulus")
         _check_ring_size(text, n)
         return modular_ring(n)
     if text.startswith("product:"):
@@ -67,6 +84,9 @@ def _check_table(data) -> None:
     """Types and lengths of a table-ring file, checked before any use."""
     if not isinstance(data, dict):
         raise ValueError("a table ring file must hold a JSON object")
+    for key in ("size", "add", "mul", "zero", "one"):
+        if key not in data:
+            raise ValueError(f"table ring file has no {key!r}")
     for key in ("size", "zero", "one"):
         if type(data[key]) is not int:
             raise ValueError(f"table ring {key!r} must be an integer")
@@ -99,25 +119,26 @@ def parse_assignment(text: str, ring) -> dict:
     env = {}
     for item in _split_top_level(text):
         name, _, literal = item.partition("=")
-        name = name.strip()
-        if not (name.startswith("x") and name[1:].isdecimal()):
-            raise ValueError(f"bad assignment variable {name!r}")
-        index = name[1:].lstrip("0")
-        if len(index) > MAX_DIGITS:
-            raise ValueError(f"assignment variable index has {len(index)} "
-                             f"digits, more than {MAX_DIGITS}")
+        name, literal = name.strip(), literal.strip()
+        if not name.startswith("x"):
+            raise ValueError(f"bad assignment variable {_echo(repr(name))}")
+        index = _parse_decimal(name[1:], "assignment variable index")
+        if len(literal) > MAX_LITERAL:
+            raise ValueError(f"assignment literal has {len(literal)} characters, "
+                             f"more than {MAX_LITERAL}")
         try:
-            value = ast.literal_eval(literal.strip())
-        except SyntaxError:
-            raise ValueError(f"bad assignment literal {literal.strip()!r}") from None
+            value = ast.literal_eval(literal)
+        except (SyntaxError, ValueError, TypeError, MemoryError, RecursionError):
+            raise ValueError(f"bad assignment literal {_echo(repr(literal))}") from None
         if isinstance(value, list):
             value = tuple(value)
         try:
             # the carrier's own element, so 1.0 on Z/6 becomes 1
             value = ring.elements[ring.elements.index(value)]
         except ValueError:
-            raise ValueError(f"{value!r} is not an element of {ring.label}") from None
-        env[int(index or "0")] = value
+            raise ValueError(f"{_echo(repr(value))} is not an element of "
+                             f"{ring.label}") from None
+        env[index] = value
     return env
 
 
@@ -233,23 +254,11 @@ def cmd_axioms(args) -> int:
 def cmd_equiv(args) -> int:
     left = parse_ring_descriptor(args.left)
     right = parse_ring_descriptor(args.right)
-    if args.sentences == "default30":
-        texts = list(DEFAULT_SENTENCES)
-    else:
-        texts = load_formula_file(args.sentences)
-    rows = []
-    ok = True
-    for text in texts:
-        sentence = parse_ring_formula(text)
-        if free_variables(sentence):
-            raise ValueError(f"sentence has free variables: {text}")
-        verdicts = (eval_direct(left, sentence), eval_direct(right, sentence),
-                    eval_via_fv(left, sentence, max_quantifier_depth=args.max_depth),
-                    eval_via_fv(right, sentence, max_quantifier_depth=args.max_depth))
-        agree = len(set(verdicts)) == 1
-        ok = ok and agree
-        rows.append({"sentence": text, "left": verdicts[0], "right": verdicts[1],
-                     "left_fv": verdicts[2], "right_fv": verdicts[3], "ok": agree})
+    texts = (DEFAULT_SENTENCES if args.sentences == "default30"
+             else load_formula_file(args.sentences))
+    verdicts = compare_sentences(left, right, texts, args.max_depth)
+    rows = [vars(v) | {"ok": v.ok} for v in verdicts]
+    ok = all(v.ok for v in verdicts)
     payload = {"left": left.label, "right": right.label, "sentences": rows, "ok": ok}
     lines = [f"left: {left.label}", f"right: {right.label}"]
     for row in rows:
@@ -344,8 +353,7 @@ def main(argv=None) -> int:
         if getattr(args, "max_depth", 1) < 1:
             raise ValueError("depth cap must be >= 1")
         return COMMANDS[args.command](args)
-    except (ParseError, RingError, UnboundVariableError, TranslationDepthError,
-            TranslationSizeError, ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:

@@ -416,18 +416,6 @@ def _negate(f: RingFormula) -> RingFormula:
     return Not(g)
 
 
-def is_canonical(f: RingFormula) -> bool:
-    if isinstance(f, Eq):
-        return True
-    if isinstance(f, Not):
-        return is_canonical(f.body)
-    if isinstance(f, And):
-        return is_canonical(f.left) and is_canonical(f.right)
-    if isinstance(f, Exists):
-        return is_canonical(f.body)
-    return False
-
-
 def canonical_relabel(f: RingFormula) -> RingFormula:
     """Rename free variables by first occurrence and alpha-rename bound ones.
 

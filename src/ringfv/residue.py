@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .formula import parse_ring_formula
+from .formula import free_variables, parse_ring_formula
 from .rings import modular_ring, product_ring
 from .semantics import eval_direct
 from .translate import eval_via_fv
@@ -73,32 +73,17 @@ def crt_solve(residues) -> int:
     return u
 
 
-@dataclass(frozen=True)
-class AtomTable:
-    """The bijection between maximal prime powers q | n and atoms of Z/n."""
-
-    n: int
-    atom_of: dict   # q -> e_q
-    power_of: dict  # e_q -> q
-
-    def atoms(self) -> tuple:
-        return tuple(sorted(self.atom_of.values()))
-
-
-def atom_table(n: int) -> AtomTable:
-    """Atoms of Z/n by CRT: e_q = 1 (mod q) and 0 (mod q') for q' != q.
+def atom_table(n: int) -> dict:
+    """Atoms of Z/n by CRT, as {q: e_q} with e_q = 1 (mod q), 0 (mod q').
 
     A prime power has the single atom 1.  Every produced element is
     verified idempotent and minimal against a scan of all idempotents.
     """
-    decomposition = factor(n)
-    qs = decomposition.prime_powers
+    qs = factor(n).prime_powers
     if len(qs) == 1:
         table = {qs[0]: 1 % n}
     else:
-        table = {}
-        for q in qs:
-            table[q] = crt_solve([(1 if q2 == q else 0, q2) for q2 in qs])
+        table = {q: crt_solve([(1 if q2 == q else 0, q2) for q2 in qs]) for q in qs}
     nonzero_idempotents = [x for x in range(1, n) if x * x % n == x]
     for q, e in table.items():
         if e * e % n != e:
@@ -106,29 +91,7 @@ def atom_table(n: int) -> AtomTable:
         below = [f for f in nonzero_idempotents if f * e % n == f and f != e]
         if below:
             raise ArithmeticError(f"CRT atom {e} for {q} is not minimal: {below[0]} below")
-    return AtomTable(n, table, {e: q for q, e in table.items()})
-
-
-def stalk_isomorphism_check(n: int, q: int) -> bool:
-    """Is x -> x mod q an isomorphism from the stalk e_q(Z/n) onto Z/q?
-
-    The stalk carrier is e_q * Z/n; the map is checked bijective and
-    operation-preserving exhaustively.
-    """
-    e = atom_table(n).atom_of[q]
-    carrier = sorted({e * x % n for x in range(n)})
-    images = [z % q for z in carrier]
-    if sorted(images) != list(range(q)):
-        return False
-    if e % q != 1 or 0 % q != 0:
-        return False
-    for a in carrier:
-        for b in carrier:
-            if (a + b) % n % q != (a % q + b % q) % q:
-                return False
-            if a * b % n % q != (a % q) * (b % q) % q:
-                return False
-    return True
+    return table
 
 
 DEFAULT_SENTENCES = (
@@ -203,21 +166,29 @@ class TheoremMainReport:
         }
 
 
-def check_theorem_main(n: int, sentences=None) -> TheoremMainReport:
-    """Z/n and the product of its maximal prime-power residue rings agree
-    on every sentence, by direct evaluation and through the translation."""
-    qs = factor(n).prime_powers
-    left = modular_ring(n)
-    right = product_ring([modular_ring(q) for q in qs])
-    texts = tuple(sentences) if sentences is not None else DEFAULT_SENTENCES
+def compare_sentences(left, right, texts, max_depth: int = 3) -> tuple:
+    """One SentenceVerdict per sentence: direct and translated evaluation on
+    both rings.  An open formula is refused."""
     verdicts = []
     for text in texts:
         sentence = parse_ring_formula(text)
+        if free_variables(sentence):
+            raise ValueError(f"sentence has free variables: {text}")
         verdicts.append(SentenceVerdict(
             text,
             eval_direct(left, sentence),
             eval_direct(right, sentence),
-            eval_via_fv(left, sentence),
-            eval_via_fv(right, sentence),
+            eval_via_fv(left, sentence, max_quantifier_depth=max_depth),
+            eval_via_fv(right, sentence, max_quantifier_depth=max_depth),
         ))
-    return TheoremMainReport(n, qs, tuple(verdicts))
+    return tuple(verdicts)
+
+
+def check_theorem_main(n: int, sentences=None) -> TheoremMainReport:
+    """Z/n and the product of its maximal prime-power residue rings agree
+    on every sentence, by direct evaluation and through the translation."""
+    qs = factor(n).prime_powers
+    texts = DEFAULT_SENTENCES if sentences is None else sentences
+    verdicts = compare_sentences(modular_ring(n),
+                                 product_ring([modular_ring(q) for q in qs]), texts)
+    return TheoremMainReport(n, qs, verdicts)

@@ -62,39 +62,19 @@ class TraceStep:
 
 
 @dataclass(frozen=True)
-class AcceptableSequence:
-    """A Boolean-algebra formula read at the Boolean values of ring cells."""
+class TranslationResult:
+    """source holds in a ring exactly when B satisfies bool_formula with
+    variable j at the Boolean value of cells[j]."""
 
+    source: RingFormula
     bool_formula: object
     cells: tuple
+    trace: tuple
 
     def __post_init__(self):
         fv = free_variables(self.bool_formula)
         if any(v >= len(self.cells) for v in fv):
             raise ValueError("arity mismatch: psi mentions variables beyond the cells")
-
-    @property
-    def standard(self) -> bool:
-        """Whether the cells' free variables are exactly x0..xk for some k."""
-        fv = set()
-        for c in self.cells:
-            fv |= free_variables(c)
-        return bool(fv) and fv == set(range(max(fv) + 1))
-
-
-@dataclass(frozen=True)
-class TranslationResult:
-    source: RingFormula
-    sequence: AcceptableSequence
-    trace: tuple
-
-    @property
-    def bool_formula(self):
-        return self.sequence.bool_formula
-
-    @property
-    def cells(self) -> tuple:
-        return self.sequence.cells
 
     def to_json(self) -> dict:
         return {
@@ -116,8 +96,8 @@ def _estimate_cells(f) -> int:
     return 1 << _estimate_cells(f.body)  # Exists
 
 
-def normalize_to_partition(bool_formula, cells) -> AcceptableSequence:
-    """Repair an acceptable sequence into one whose cells form a partition.
+def normalize_to_partition(bool_formula, cells) -> tuple:
+    """Repair (psi, cells) into an equivalent pair whose cells form a partition.
 
     This is the disjunctive-normal-form construction with the input cells
     as the propositional variables: output cell k is the sign pattern of
@@ -143,7 +123,7 @@ def normalize_to_partition(bool_formula, cells) -> AcceptableSequence:
     for l in range(m + 1):
         ks = [k for k in range(1 << (m + 1)) if k >> l & 1]
         mapping[l] = _balanced_join(ks)
-    return AcceptableSequence(substitute_bool(bool_formula, mapping), tuple(out))
+    return substitute_bool(bool_formula, mapping), tuple(out)
 
 
 def _balanced_join(indices):
@@ -172,8 +152,8 @@ def _translate(f):
     if isinstance(f, Exists):
         psi0, cells0, trace0 = _translate(f.body)
         candidates = tuple(Exists(f.var, c) for c in cells0)
-        seq = normalize_to_partition(phi_star(psi0, len(cells0) - 1), candidates)
-        return seq.bool_formula, seq.cells, trace0 + (TraceStep("exists", len(seq.cells)),)
+        psi, cells = normalize_to_partition(phi_star(psi0, len(cells0) - 1), candidates)
+        return psi, cells, trace0 + (TraceStep("exists", len(cells)),)
     raise TypeError(f"not a canonical ring formula: {f!r}")
 
 
@@ -188,7 +168,7 @@ def translate(formula: RingFormula, max_quantifier_depth: int = 3) -> Translatio
     if estimate > MAX_CELLS:
         raise TranslationSizeError(estimate)
     psi, cells, trace = _translate(canonical)
-    return TranslationResult(formula, AcceptableSequence(psi, cells), trace)
+    return TranslationResult(formula, psi, cells, trace)
 
 
 class FvEvaluator:

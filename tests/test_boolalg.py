@@ -5,11 +5,15 @@ import random
 
 import pytest
 
-from ringfv.boolalg import (bool_to_ring_formula, eval_bool_formula,
-                            idempotent_algebra, make_partition_formula,
-                            masks_form_partition, phi_star)
-from ringfv.formula import (BEq, BVar, TOP, format_bool_formula,
-                            free_variables, parse_bool_formula)
+from ringfv.boolalg import (eval_bool_formula, idempotent_algebra,
+                            make_partition_formula, masks_form_partition,
+                            phi_star)
+from ringfv.formula import (ONE, ZERO, Add, And, BAnd, BEq, BExists, BForall,
+                            BImplies, BNot, BOr, Bot, BVar, Complement, Eq,
+                            Exists, Forall, Implies, Join, Meet, Mul, Not, Or,
+                            Sub, TOP, Top, Var, format_bool_formula,
+                            format_ring_formula, free_variables,
+                            parse_bool_formula)
 from ringfv.rings import idempotents, modular_ring, product_ring
 from ringfv.semantics import UnboundVariableError, eval_direct
 
@@ -201,6 +205,51 @@ def test_phi_star_fresh_variables():
 
 
 # --- interpretation into the ring language ---
+#
+# The reference reading of B-formulas: Boolean operations expand to their
+# ring definitions and every quantifier is relativized to idempotents by
+# an x*x = x guard, so eval_direct on the result must agree with
+# eval_bool_formula.
+
+def _idempotence_guard(index: int):
+    return Eq(Mul(Var(index), Var(index)), Var(index))
+
+
+def _ring_term(t):
+    if isinstance(t, BVar):
+        return Var(t.index)
+    if isinstance(t, Bot):
+        return ZERO
+    if isinstance(t, Top):
+        return ONE
+    if isinstance(t, Complement):
+        return Sub(ONE, _ring_term(t.body))
+    l = _ring_term(t.left)
+    r = _ring_term(t.right)
+    if isinstance(t, Meet):
+        return Mul(l, r)
+    if isinstance(t, Join):
+        return Sub(Add(l, r), Mul(l, r))
+    raise TypeError(f"not a Boolean term: {t!r}")
+
+
+def bool_to_ring_formula(f):
+    if isinstance(f, BEq):
+        return Eq(_ring_term(f.left), _ring_term(f.right))
+    if isinstance(f, BNot):
+        return Not(bool_to_ring_formula(f.body))
+    if isinstance(f, BAnd):
+        return And(bool_to_ring_formula(f.left), bool_to_ring_formula(f.right))
+    if isinstance(f, BOr):
+        return Or(bool_to_ring_formula(f.left), bool_to_ring_formula(f.right))
+    if isinstance(f, BImplies):
+        return Implies(bool_to_ring_formula(f.left), bool_to_ring_formula(f.right))
+    if isinstance(f, BExists):
+        return Exists(f.var, And(_idempotence_guard(f.var), bool_to_ring_formula(f.body)))
+    if isinstance(f, BForall):
+        return Forall(f.var, Implies(_idempotence_guard(f.var), bool_to_ring_formula(f.body)))
+    raise TypeError(f"not a Boolean formula: {f!r}")
+
 
 @pytest.mark.parametrize("text,expected", [
     ("y0 = 1", "x0 = 1"),
@@ -208,7 +257,6 @@ def test_phi_star_fresh_variables():
     ("E y0. y0 = 0", "E x0. x0*x0 = x0 & x0 = 0"),
 ])
 def test_bool_to_ring_formula_shapes(text, expected):
-    from ringfv.formula import format_ring_formula
     assert format_ring_formula(bool_to_ring_formula(parse_bool_formula(text))) \
         == expected
 

@@ -61,6 +61,27 @@ def test_table_with_mistyped_field_is_rejected(capsys, tmp_path, bad):
     assert code == EXIT_USAGE and key in err
 
 
+@pytest.mark.parametrize("key", ["size", "add", "mul", "zero", "one"])
+def test_table_with_missing_field_is_rejected(capsys, tmp_path, key):
+    table = {k: v for k, v in F2_TABLE.items() if k != key}
+    code, out, err = run_cli(capsys, "atoms", "--ring", write_table(tmp_path, table))
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: table ring file has no {key!r}\n"
+
+
+@pytest.mark.parametrize("ring, message", [
+    ("zmod:x", "bad zmod modulus 'x'"),
+    ("zmod:", "bad zmod modulus ''"),
+    ("zmod:-6", "bad zmod modulus '-6'"),
+    ("product:zmod:2,zmod:x", "bad zmod modulus 'x'"),
+    ("zmod:" + "9" * 5000, "zmod modulus has 5000 digits, more than 4300"),
+], ids=["letter", "empty", "negative", "product-factor", "long"])
+def test_bad_ring_modulus_is_a_usage_error(capsys, ring, message):
+    code, out, err = run_cli(capsys, "atoms", "--ring", ring)
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_parse_ring_descriptor_errors():
     with pytest.raises(ValueError):
         parse_ring_descriptor("zmod6")
@@ -222,14 +243,22 @@ def test_long_digit_run_is_a_parse_error(capsys, argv, column):
     assert "set_int_max_str_digits" not in err
 
 
-@pytest.mark.parametrize("name", ["x" + LONG_RUN, "x\u00b2"],
-                         ids=["long-index", "superscript-digit"])
-def test_bad_assignment_variable_is_a_usage_error(capsys, name):
-    code, out, err = run_cli(capsys, "eval", "--ring", "zmod:6",
-                             "--formula", "x0 = 0", "--assign", name + "=1")
+@pytest.mark.parametrize("assign", [
+    "x" + LONG_RUN + "=1", "x\u00b2=1", "x0=abc", "x0=--1",
+    "x0=" + "-" * 20000 + "1", "x0=" + LONG_RUN,
+    "x0=[" + ",".join(["0"] * 3000) + "]", "x0=" + "9" * 900,
+    "y" + LONG_RUN + "=1",
+], ids=["long-index", "superscript-digit", "name", "double-minus",
+        "20000-minuses", "5000-nines", "3000-list", "900-nines", "long-name"])
+def test_bad_assignment_variable_is_a_usage_error(capsys, assign):
+    """Bad names and literals alike: one short line of the program's own text."""
+    argv = ["eval", "--ring", "zmod:6", "--formula", "x0 = 0", "--assign", assign]
+    code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "set_int_max_str_digits" not in err and "int()" not in err
+    assert "0x" not in err and len(err) < 120
+    assert (code, out, err) == run_cli(capsys, *argv)
 
 
 def test_assignment_index_leading_zeros_do_not_count():

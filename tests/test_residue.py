@@ -3,8 +3,9 @@
 import pytest
 
 from ringfv.residue import (DEFAULT_SENTENCES, atom_table, check_theorem_main,
-                            crt_solve, factor, stalk_isomorphism_check)
+                            compare_sentences, crt_solve, factor)
 from ringfv.rings import atoms, is_connected, modular_ring
+from ringfv.translate import TranslationDepthError
 
 SUITE_N = (6, 12, 30, 60, 210)
 
@@ -55,20 +56,20 @@ def test_crt_errors():
 
 
 def test_atom_table_examples():
-    assert atom_table(6).atom_of == {2: 3, 3: 4}
-    assert atom_table(60).atom_of == {4: 45, 3: 40, 5: 36}
-    assert atom_table(8).atom_of == {8: 1}
+    assert atom_table(6) == {2: 3, 3: 4}
+    assert atom_table(60) == {4: 45, 3: 40, 5: 36}
+    assert atom_table(8) == {8: 1}
 
 
 def test_atom_table_is_a_bijection():
     t = atom_table(60)
-    assert t.power_of == {45: 4, 40: 3, 36: 5}
-    assert t.atoms() == (36, 40, 45)
+    assert sorted(t) == sorted(factor(60).prime_powers)
+    assert len(set(t.values())) == len(t)
 
 
 @pytest.mark.parametrize("n", SUITE_N)
 def test_atom_table_agrees_with_scan(n):
-    assert atom_table(n).atoms() == tuple(sorted(atoms(modular_ring(n))))
+    assert sorted(atom_table(n).values()) == sorted(atoms(modular_ring(n)))
 
 
 @pytest.mark.parametrize("n", SUITE_N)
@@ -88,7 +89,34 @@ def test_connected_iff_prime_power():
 @pytest.mark.parametrize("n,q", [(6, 2), (6, 3), (60, 4), (60, 3), (60, 5),
                                  (8, 8), (12, 4), (12, 3)])
 def test_stalk_isomorphism(n, q):
-    assert stalk_isomorphism_check(n, q)
+    """x -> x mod q maps the stalk e_q * Z/n bijectively and
+    operation-preservingly onto Z/q, checked exhaustively."""
+    e = atom_table(n)[q]
+    carrier = sorted({e * x % n for x in range(n)})
+    assert sorted(z % q for z in carrier) == list(range(q))
+    assert e % q == 1
+    for a in carrier:
+        for b in carrier:
+            assert (a + b) % n % q == (a % q + b % q) % q
+            assert a * b % n % q == (a % q) * (b % q) % q
+
+
+def test_compare_sentences_keeps_order_and_flags_disagreement():
+    z4, z2 = modular_ring(4), modular_ring(2)
+    texts = ["E x0. x0*x0 = 0 & ~(x0 = 0)", "0 = 0"]
+    nilpotent, trivial = compare_sentences(z4, z2, texts)
+    assert (nilpotent.sentence, trivial.sentence) == tuple(texts)
+    assert vars(nilpotent) == {"sentence": texts[0], "left": True, "right": False,
+                               "left_fv": True, "right_fv": False}
+    assert not nilpotent.ok and trivial.ok
+
+
+def test_compare_sentences_refuses_open_formulas_and_deep_ones():
+    z6 = modular_ring(6)
+    with pytest.raises(ValueError, match="^sentence has free variables: x0 = 0$"):
+        compare_sentences(z6, z6, ["0 = 0", "x0 = 0"])
+    with pytest.raises(TranslationDepthError):
+        compare_sentences(z6, z6, ["E x0. E x1. x0 = x1"], max_depth=1)
 
 
 def test_default_sentences_are_thirty_closed_sentences():

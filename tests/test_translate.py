@@ -12,10 +12,10 @@ from ringfv.formula import (And, Not, format_bool_formula,
 from ringfv.rings import atom_stalks, atoms, modular_ring, product_ring
 from ringfv.semantics import boolean_value_batch, eval_direct
 from ringfv.suites import smoke_suite
-from ringfv.translate import (AcceptableSequence, FvEvaluator,
-                              TranslationDepthError, TranslationSizeError,
-                              TranslationResult, eval_via_fv,
-                              normalize_to_partition, oracle_sweep, translate)
+from ringfv.translate import (FvEvaluator, TranslationDepthError,
+                              TranslationSizeError, TranslationResult,
+                              eval_via_fv, normalize_to_partition, oracle_sweep,
+                              translate)
 
 
 def test_translate_atomic_base_case():
@@ -69,28 +69,28 @@ def test_and_case_psi_uses_row_and_column_joins():
 
 
 def test_normalize_single_cell():
-    seq = normalize_to_partition(parse_bool_formula("y0 = 1"),
-                                 [parse_ring_formula("x0 = 0")])
-    assert [format_ring_formula(c) for c in seq.cells] == ["~(x0 = 0)", "x0 = 0"]
-    assert format_bool_formula(seq.bool_formula) == "y1 = 1"
+    psi, cells = normalize_to_partition(parse_bool_formula("y0 = 1"),
+                                        [parse_ring_formula("x0 = 0")])
+    assert [format_ring_formula(c) for c in cells] == ["~(x0 = 0)", "x0 = 0"]
+    assert format_bool_formula(psi) == "y1 = 1"
 
 
 def test_normalize_two_cells_sign_patterns():
     a, b = parse_ring_formula("x0 = 0"), parse_ring_formula("x0 = 1")
-    seq = normalize_to_partition(parse_bool_formula("y0 <= y1"), [a, b])
-    assert seq.cells == (And(Not(a), Not(b)), And(a, Not(b)),
-                         And(Not(a), b), And(a, b))
+    _, cells = normalize_to_partition(parse_bool_formula("y0 <= y1"), [a, b])
+    assert cells == (And(Not(a), Not(b)), And(a, Not(b)),
+                     And(Not(a), b), And(a, b))
 
 
 def test_normalize_output_is_partition_sequence(z6, z60):
     a, b = parse_ring_formula("x0 = 0"), parse_ring_formula("x0*x0 = x0")
-    seq = normalize_to_partition(parse_bool_formula("y0 v y1 = 1"), [a, b])
+    _, cells = normalize_to_partition(parse_bool_formula("y0 v y1 = 1"), [a, b])
     for ring in (z6, z60):
         B = idempotent_algebra(ring)
         full = (1 << len(B.atoms)) - 1
         for v in ring.elements:
-            cells = boolean_value_batch(ring, seq.cells, {0: v})
-            assert masks_form_partition([B.atom_mask(c) for c in cells], full)
+            values = boolean_value_batch(ring, cells, {0: v})
+            assert masks_form_partition([B.atom_mask(e) for e in values], full)
 
 
 def test_normalize_preserves_satisfaction(z6):
@@ -98,12 +98,12 @@ def test_normalize_preserves_satisfaction(z6):
     B = idempotent_algebra(z6)
     a, b = parse_ring_formula("x0 = 0"), parse_ring_formula("x0*x0 = x0")
     phi = parse_bool_formula("y0 <= y1")
-    seq = normalize_to_partition(phi, [a, b])
+    psi, cells = normalize_to_partition(phi, [a, b])
     for v in z6.elements:
         old = boolean_value_batch(z6, (a, b), {0: v})
-        new = boolean_value_batch(z6, seq.cells, {0: v})
+        new = boolean_value_batch(z6, cells, {0: v})
         lhs = eval_bool_formula(B, phi, dict(enumerate(old)))
-        rhs = eval_bool_formula(B, seq.bool_formula, dict(enumerate(new)))
+        rhs = eval_bool_formula(B, psi, dict(enumerate(new)))
         assert lhs == rhs
 
 
@@ -139,13 +139,12 @@ def test_conjunction_refinement_row_joins(z6, z60):
                 assert joined == col[j]
 
 
-def test_acceptable_sequence_standard_flag():
-    seq = translate(parse_ring_formula("x0 = x1")).sequence
-    assert seq.standard
-    gap = AcceptableSequence(parse_bool_formula("y0 = 1"),
-                             (parse_ring_formula("x1 = 0"),
-                              parse_ring_formula("~(x1 = 0)")))
-    assert not gap.standard
+def test_translation_result_arity_check():
+    source = parse_ring_formula("x0 = 0")
+    cells = (source, Not(source))
+    TranslationResult(source, parse_bool_formula("y1 = 1"), cells, ())
+    with pytest.raises(ValueError, match="arity mismatch"):
+        TranslationResult(source, parse_bool_formula("y2 = 1"), cells, ())
 
 
 def test_translation_uniform_and_cached():
