@@ -166,13 +166,20 @@ def phi_star(phi: BoolFormula, m: int) -> BoolFormula:
     if any(v > m for v in free_variables(phi)):
         raise ValueError(f"free variables of phi exceed v0..v{m}")
     base = max(max_var_index(phi) + 1, m + 1)
-    ws = [BVar(base + j) for j in range(m + 1)]
-    body = partition_conditions(ws)
-    for j, w in enumerate(ws):
-        body = BAnd(body, leq(w, BVar(j)))
-    body = BAnd(body, substitute_bool(phi, {j: w for j, w in enumerate(ws)}))
+    ws = range(base, base + m + 1)
+    return patching_block(ws, [BVar(j) for j in range(m + 1)],
+                          substitute_bool(phi, {j: BVar(w) for j, w in enumerate(ws)}))
+
+
+def patching_block(ws, ts, phi) -> BoolFormula:
+    """E w_0 .. E w_m. Part(w_0..w_m) & w_0 <= t_0 & .. & w_m <= t_m & phi,
+    over the variable indices ws: the shape partition_block matches."""
+    body = partition_conditions([BVar(w) for w in ws])
+    for w, t in zip(ws, ts):
+        body = BAnd(body, leq(BVar(w), t))
+    body = BAnd(body, phi)
     for w in reversed(ws):
-        body = BExists(w.index, body)
+        body = BExists(w, body)
     return body
 
 

@@ -123,6 +123,8 @@ def parse_assignment(text: str, ring) -> dict:
         if not name.startswith("x"):
             raise ValueError(f"bad assignment variable {_echo(repr(name))}")
         index = _parse_decimal(name[1:], "assignment variable index")
+        if index in env:
+            raise ValueError(f"variable {_echo(f'x{index}')} is assigned twice")
         if len(literal) > MAX_LITERAL:
             raise ValueError(f"assignment literal has {len(literal)} characters, "
                              f"more than {MAX_LITERAL}")

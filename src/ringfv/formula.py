@@ -368,9 +368,11 @@ def _substitute(node, mapping, var_cls):
             return node
         var, (body,) = node.var, kids
         if any(var in free_variables(t) for t in live.values()):
+            # fresh is above every index in node and in the live terms, so
+            # the binder's rename rides along in the same walk
             fresh = 1 + max(max_var_index(node),
                             max(max_var_index(t) for t in live.values()))
-            body = _substitute(body, {var: var_cls(fresh)}, var_cls)
+            live[var] = var_cls(fresh)
             var = fresh
         return cls(var, _substitute(body, live, var_cls))
     return rebuild(node, [_substitute(k, mapping, var_cls) for k in kids])

@@ -143,9 +143,10 @@ class StalkValueCache:
 
     Rows: a cell's truth in a stalk depends only on the localized
     assignment, so each stalk memoizes one row per localized tuple of the
-    union of the cells' free variables.  On a miss every distinct leaf is
-    evaluated once with _eval, and the row holds, per cell, the stalk's
-    atom bit if the leaf verdicts match the cell's signs, else 0.
+    cells' free variables, read off the distinct leaves.  On a miss every
+    distinct leaf is evaluated once with _eval, and the row holds, per
+    cell, the stalk's atom bit if the leaf verdicts match the cell's signs,
+    else 0.
 
     Localization goes through the stalk's x -> ex table (Stalk.localized),
     which fills on demand.  masks() ORs the rows of all stalks: per cell,
@@ -154,7 +155,6 @@ class StalkValueCache:
     """
 
     def __init__(self, ring: FiniteRing, cells):
-        cells = tuple(cells)
         stalks = atom_stalks(ring)
         self.full = (1 << len(stalks)) - 1
         index = {}
@@ -169,7 +169,8 @@ class StalkValueCache:
                     neg |= bit
             self._signs.append((pos, neg))
         self._leaves = tuple(index)
-        self._vars = tuple(sorted(set().union(*map(free_variables, cells))))
+        # a cell's free variables are exactly those of its signed leaves
+        self._vars = tuple(sorted(set().union(*map(free_variables, self._leaves))))
         self._stalks = [(st, 1 << ai, {}) for ai, st in enumerate(stalks)]
 
     def _row(self, st, bit, key) -> tuple:

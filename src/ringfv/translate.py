@@ -7,6 +7,10 @@ equivalent to B satisfying psi at the Boolean values of the cells.  The
 recursion handles equations, negation, conjunction and the existential
 quantifier; everything else is erased by canonicalize() first.
 
+The existential step, the patching transform phi* over the candidates
+E x. c_j followed by their disjunctive normal form, is built in one pass
+by _exists_step; the tests keep the two-step construction as its reference.
+
 The construction is uniform: it depends only on the source formula, never
 on a ring, so results are cached and reused across rings.
 """
@@ -17,29 +21,37 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .boolalg import eval_psi, idempotent_algebra, masks_form_partition, phi_star
+from .boolalg import (eval_psi, idempotent_algebra, masks_form_partition,
+                      patching_block)
 from .formula import (And, BAnd, BEq, BNot, BVar, Eq, Exists, Join, Not,
                       RingFormula, TOP, canonicalize, format_ring_formula,
-                      free_variables, join_all, quantifier_depth,
-                      substitute_bool)
+                      free_variables, join_all, max_var_index,
+                      quantifier_depth, substitute_bool)
 from .rings import FiniteRing
 from .semantics import StalkValueCache, eval_direct
 
 
 MAX_CELLS = 4096
 
+# An existential over n cells has 2^n of them.  Exponents above this are
+# not materialized (2^(2^256) has no int), so past it an estimate is a
+# lower bound.
+_MAX_EXPONENT = 1 << 16
+
 
 def _cell_report(estimate: int) -> str:
+    if estimate >= 1 << _MAX_EXPONENT:
+        return f"at least 2^{estimate.bit_length() - 1}"
     if estimate > 10**9:
-        return f"2^{estimate.bit_length() - 1}"
-    return str(estimate)
+        return f"about 2^{estimate.bit_length() - 1}"
+    return f"about {estimate}"
 
 
 class TranslationDepthError(ValueError):
     def __init__(self, depth, max_depth, estimate):
         super().__init__(
             f"quantifier depth {depth} exceeds the cap {max_depth}; "
-            f"translation would have about {_cell_report(estimate)} cells")
+            f"translation would have {_cell_report(estimate)} cells")
         self.estimated_cells = estimate
 
 
@@ -50,7 +62,7 @@ class TranslationSizeError(ValueError):
 
     def __init__(self, estimate):
         super().__init__(
-            f"translation would have about {_cell_report(estimate)} cells, "
+            f"translation would have {_cell_report(estimate)} cells, "
             f"beyond the cap {MAX_CELLS}")
         self.estimated_cells = estimate
 
@@ -93,37 +105,7 @@ def _estimate_cells(f) -> int:
         return _estimate_cells(f.body)
     if isinstance(f, And):
         return _estimate_cells(f.left) * _estimate_cells(f.right)
-    return 1 << _estimate_cells(f.body)  # Exists
-
-
-def normalize_to_partition(bool_formula, cells) -> tuple:
-    """Repair (psi, cells) into an equivalent pair whose cells form a partition.
-
-    This is the disjunctive-normal-form construction with the input cells
-    as the propositional variables: output cell k is the sign pattern of
-    the inputs given by the bits of k (bit l set means cell l positive),
-    and the formula is rewritten over the joins of the matching patterns.
-    The output cells are pairwise contradictory and jointly exhaustive by
-    propositional logic alone, hence a partition sequence.
-    """
-    cells = tuple(cells)
-    m = len(cells) - 1
-    if m < 0:
-        raise ValueError("need at least one cell")
-    if any(v > m for v in free_variables(bool_formula)):
-        raise ValueError(f"arity mismatch: psi mentions variables beyond v0..v{m}")
-    out = []
-    for k in range(1 << (m + 1)):
-        conj = None
-        for l in range(m + 1):
-            lit = cells[l] if k >> l & 1 else Not(cells[l])
-            conj = lit if conj is None else And(conj, lit)
-        out.append(conj)
-    mapping = {}
-    for l in range(m + 1):
-        ks = [k for k in range(1 << (m + 1)) if k >> l & 1]
-        mapping[l] = _balanced_join(ks)
-    return substitute_bool(bool_formula, mapping), tuple(out)
+    return 1 << min(_estimate_cells(f.body), _MAX_EXPONENT)  # Exists
 
 
 def _balanced_join(indices):
@@ -132,6 +114,46 @@ def _balanced_join(indices):
         return BVar(indices[0])
     half = len(indices) // 2
     return Join(_balanced_join(indices[:half]), _balanced_join(indices[half:]))
+
+
+def _exists_step(var, psi0, cells0):
+    """Translate E x. theta from theta's (psi0; cells0).
+
+    This is the patching transform phi_star(psi0, m) over the candidates
+    E x. c_j, rewritten into disjunctive normal form with the candidates as
+    the propositional variables.  Output cell k is the sign pattern of the
+    candidates given by the bits of k (bit l set means candidate l
+    positive), so the cells are pairwise contradictory and jointly
+    exhaustive by propositional logic alone, hence a partition sequence.
+    Candidate l is the join J_l of the patterns with bit l set, and psi is
+    phi_star(psi0, m) with each v_l replaced by J_l, built directly:
+
+        E x_0 .. E x_m. Part(x_0..x_m) & x_j <= J_j & psi0[v_j := x_j]
+
+    The binders are the ones capture-avoiding substitution of the J_l into
+    phi_star(psi0, m) ends with: phi_star's w_j = base + j, renamed to
+    fresh + j where the joins mention it (base + j <= top).  So psi equals
+    that substitution's result, and the only walk is the small
+    substitution into psi0.
+    """
+    m = len(cells0) - 1
+    top = (1 << (m + 1)) - 1
+    candidates = [Exists(var, c) for c in cells0]
+    cells = []
+    for k in range(top + 1):
+        conj = None
+        for l, cand in enumerate(candidates):
+            lit = cand if k >> l & 1 else Not(cand)
+            conj = lit if conj is None else And(conj, lit)
+        cells.append(conj)
+    base = max(max_var_index(psi0) + 1, m + 1)
+    fresh = 1 + max(base + m, top)
+    xs = [fresh + j if base + j <= top else base + j for j in range(m + 1)]
+    joins = [_balanced_join([k for k in range(top + 1) if k >> l & 1])
+             for l in range(m + 1)]
+    psi = patching_block(xs, joins, substitute_bool(
+        psi0, {j: BVar(x) for j, x in enumerate(xs)}))
+    return psi, tuple(cells)
 
 
 def _translate(f):
@@ -151,8 +173,7 @@ def _translate(f):
         return psi, cells, tl + tr + (TraceStep("and", a * b),)
     if isinstance(f, Exists):
         psi0, cells0, trace0 = _translate(f.body)
-        candidates = tuple(Exists(f.var, c) for c in cells0)
-        psi, cells = normalize_to_partition(phi_star(psi0, len(cells0) - 1), candidates)
+        psi, cells = _exists_step(f.var, psi0, cells0)
         return psi, cells, trace0 + (TraceStep("exists", len(cells)),)
     raise TypeError(f"not a canonical ring formula: {f!r}")
 

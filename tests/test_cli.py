@@ -222,7 +222,10 @@ def test_exit_usage_on_bad_ring(capsys):
     ("parse", "~" * 700 + "x0 = 0"),
     ("atoms", "--ring", "zmod:1000001"),
     ("atoms", "--ring", "product:zmod:1000,zmod:1001"),
-], ids=["numeral", "parentheses", "negations", "zmod", "product"])
+    ("translate", "--formula", "E x0. E x1. E x2. x0 = 0 & x1 = 0 & x2 = 0"),
+    ("translate", "--formula", "E x0. E x1. E x2. E x3. E x4. x0 = x4"),
+], ids=["numeral", "parentheses", "negations", "zmod", "product",
+        "cells-past-int", "depth-past-int"])
 def test_exit_usage_on_oversized_input(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_USAGE and out == "" and err.startswith("error:")
@@ -259,6 +262,15 @@ def test_bad_assignment_variable_is_a_usage_error(capsys, assign):
     assert "set_int_max_str_digits" not in err and "int()" not in err
     assert "0x" not in err and len(err) < 120
     assert (code, out, err) == run_cli(capsys, *argv)
+
+
+@pytest.mark.parametrize("assign", ["x0=1,x0=2", "x0=1,x00=2"],
+                         ids=["same-name", "leading-zero"])
+def test_repeated_assignment_variable_is_a_usage_error(capsys, assign):
+    code, out, err = run_cli(capsys, "eval", "--ring", "zmod:6",
+                             "--formula", "x0 = 0", "--assign", assign)
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: variable x0 is assigned twice\n"
 
 
 def test_assignment_index_leading_zeros_do_not_count():

@@ -1,21 +1,81 @@
 """The translation procedure, normalization and the equivalence harness."""
 
+import importlib
 import itertools
 
 import pytest
 
 from ringfv.boolalg import (eval_bool_formula, idempotent_algebra,
-                            masks_form_partition)
-from ringfv.formula import (And, Not, format_bool_formula,
-                            format_ring_formula, parse_bool_formula,
-                            parse_ring_formula)
+                            masks_form_partition, phi_star)
+from ringfv.formula import (And, Exists, Not, canonicalize,
+                            format_bool_formula, format_ring_formula,
+                            free_variables, parse_bool_formula,
+                            parse_ring_formula, substitute_bool)
 from ringfv.rings import atom_stalks, atoms, modular_ring, product_ring
 from ringfv.semantics import boolean_value_batch, eval_direct
-from ringfv.suites import smoke_suite
+from ringfv.suites import default_depth2, smoke_suite
 from ringfv.translate import (FvEvaluator, TranslationDepthError,
                               TranslationSizeError, TranslationResult,
-                              eval_via_fv, normalize_to_partition, oracle_sweep,
+                              _balanced_join, eval_via_fv, oracle_sweep,
                               translate)
+
+# by module path: the package rebinds the name translate to the function
+translate_module = importlib.import_module("ringfv.translate")
+
+
+def normalize_to_partition(bool_formula, cells) -> tuple:
+    """Repair (psi, cells) into an equivalent pair whose cells form a partition.
+
+    This is the disjunctive-normal-form construction with the input cells
+    as the propositional variables: output cell k is the sign pattern of
+    the inputs given by the bits of k (bit l set means cell l positive),
+    and the formula is rewritten over the joins of the matching patterns.
+    The output cells are pairwise contradictory and jointly exhaustive by
+    propositional logic alone, hence a partition sequence.
+    """
+    cells = tuple(cells)
+    m = len(cells) - 1
+    if m < 0:
+        raise ValueError("need at least one cell")
+    if any(v > m for v in free_variables(bool_formula)):
+        raise ValueError(f"arity mismatch: psi mentions variables beyond v0..v{m}")
+    out = []
+    for k in range(1 << (m + 1)):
+        conj = None
+        for l in range(m + 1):
+            lit = cells[l] if k >> l & 1 else Not(cells[l])
+            conj = lit if conj is None else And(conj, lit)
+        out.append(conj)
+    mapping = {}
+    for l in range(m + 1):
+        ks = [k for k in range(1 << (m + 1)) if k >> l & 1]
+        mapping[l] = _balanced_join(ks)
+    return substitute_bool(bool_formula, mapping), tuple(out)
+
+
+def _exists_by_normal_form(var, psi0, cells0):
+    candidates = tuple(Exists(var, c) for c in cells0)
+    return normalize_to_partition(phi_star(psi0, len(cells0) - 1), candidates)
+
+
+def reference_translation(formula):
+    """(psi, cells, trace) with the existential step taken literally:
+    phi_star(psi0, m), then normalize_to_partition over the candidates."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(translate_module, "_exists_step", _exists_by_normal_form)
+        return translate_module._translate(canonicalize(formula))
+
+
+def assert_matches_reference(formula):
+    result = translate(formula)
+    assert (result.bool_formula, result.cells, result.trace) \
+        == reference_translation(formula)
+
+
+def test_exists_step_matches_normal_form_on_the_suites():
+    # psi, cells and trace all equal, binder indices included
+    for f in default_depth2() + smoke_suite():
+        assert_matches_reference(f)
 
 
 def test_translate_atomic_base_case():
@@ -256,6 +316,10 @@ def test_cell_guard():
     with pytest.raises(TranslationSizeError) as exc:
         translate(wide)
     assert exc.value.estimated_cells == 2 ** 64
+    # 2^(2^256) cells: the estimate stops at 2^65536 and says so
+    triple = parse_ring_formula("E x0. E x1. E x2. x0 = 0 & x1 = 0 & x2 = 0")
+    with pytest.raises(TranslationSizeError, match="at least 2\\^65536 cells"):
+        translate(triple)
 
 
 def test_translate_handles_derived_connectives(z6):
