@@ -53,6 +53,13 @@ class CheckBudget:
     max_assignments: int = 64
     seed: int = 0
 
+    def __post_init__(self):
+        # a budget below 1 would check nothing and still report a pass
+        for name in ("max_formulas", "max_assignments"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"budget {name} must be at least 1, "
+                                 f"got {getattr(self, name)}")
+
 
 DEFAULT_BUDGET = CheckBudget()
 
@@ -171,11 +178,12 @@ def check_axiom3(ring: FiniteRing, formulas=None, budget: CheckBudget = None) ->
     for theta in pool:
         fv = sorted(free_variables(theta))
         w = fv[-1]
+        # built once per formula, so every assignment reuses its nodes
+        batch = (Exists(w, theta), theta)
         for env in _assignments(ring, fv[:-1], budget):
             instances += 1
             g = patch_witness(ring, theta, w, env)
-            exists_value, at_g = boolean_value_batch(
-                ring, (Exists(w, theta), theta), {**env, w: g})
+            exists_value, at_g = boolean_value_batch(ring, batch, {**env, w: g})
             if not algebra.below(exists_value, at_g):
                 return _report(ring, "axiom3", instances, {
                     "formula": format_ring_formula(theta),
@@ -304,10 +312,11 @@ def _check_value_lemmas(ring: FiniteRing, budget: CheckBudget):
             if counterexample:
                 break
             fv = free_variables(t1) | free_variables(t2)
+            batch = (combine(t1, t2), t1, t2)
             # pair sweeps square the instance count, so envs get a tighter policy
             for env in _assignments(ring, fv, budget, exhaustive_size=8):
                 instances += 1
-                both, v1, v2 = boolean_value_batch(ring, (combine(t1, t2), t1, t2), env)
+                both, v1, v2 = boolean_value_batch(ring, batch, env)
                 if both != expect(algebra, v1, v2):
                     counterexample = {"theta1": format_ring_formula(t1),
                                       "theta2": format_ring_formula(t2),
@@ -319,9 +328,10 @@ def _check_value_lemmas(ring: FiniteRing, budget: CheckBudget):
     for t in pool:
         if counterexample:
             break
+        batch = (Not(t), t)
         for env in _assignments(ring, free_variables(t), budget, exhaustive_size=8):
             instances += 1
-            neg, pos = boolean_value_batch(ring, (Not(t), t), env)
+            neg, pos = boolean_value_batch(ring, batch, env)
             if neg != algebra.complement(pos):
                 counterexample = {"theta": format_ring_formula(t),
                                   "assignment": _env_json(env)}

@@ -21,8 +21,8 @@ import itertools
 
 from .formula import (BAnd, BEq, BExists, BForall, BImplies, BNot, BOr, Bot,
                       BoolFormula, BVar, Complement, Join, Meet, Top,
-                      free_variables, leq, max_var_index, partition_conditions,
-                      substitute_bool)
+                      _var_name, free_variables, leq, max_var_index,
+                      partition_conditions, substitute_bool)
 from .rings import FiniteRing, atoms, idempotents
 from .semantics import UnboundVariableError
 
@@ -141,7 +141,8 @@ def eval_bool_formula(algebra: IdempotentAlgebra, formula: BoolFormula, env=None
     env = env or {}
     missing = free_variables(formula) - env.keys()
     if missing:
-        raise UnboundVariableError(f"unbound variable(s): y{sorted(missing)[0]} ...")
+        names = ", ".join(_var_name(i) for i in sorted(missing))
+        raise UnboundVariableError(f"unbound variable(s): {names}")
     full = (1 << len(algebra.atoms)) - 1
     menv = {i: algebra.atom_mask(v) for i, v in env.items()}
     return _beval(formula, menv, full)

@@ -42,8 +42,12 @@ class Node:
     """Shared behaviour for all AST nodes: printing.
 
     Every node class is a frozen dataclass, so nodes compare and hash by
-    structure through the generated __eq__ and __hash__.
+    structure through the generated __eq__ and __hash__.  Each node object
+    also has one attribute outside the dataclass fields, _free_variables,
+    which free_variables fills on its first call on that object.
     """
+
+    _free_variables = None
 
     def __str__(self):
         if isinstance(self, RingTerm):
@@ -313,9 +317,24 @@ def partition_conditions(cells) -> BoolFormula:
 
 # --- structural utilities ---
 
-@functools.lru_cache(maxsize=None)
 def free_variables(node) -> frozenset:
-    """Free variable indices of a formula or term, in either language."""
+    """Free variable indices of a formula or term, in either language.
+
+    The first call on a node object stores the set in that object's
+    _free_variables attribute (not a dataclass field, so equality, hashing
+    and repr do not see it); later calls on the same object read it back
+    without walking or hashing the subtree.  Below that, a structural
+    cache shares the sets between equal nodes built separately.
+    """
+    out = node._free_variables
+    if out is None:
+        out = _structural_free_variables(node)
+        object.__setattr__(node, "_free_variables", out)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _structural_free_variables(node) -> frozenset:
     cls = type(node)
     if cls in _VARS:
         return frozenset((node.index,))

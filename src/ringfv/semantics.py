@@ -157,12 +157,18 @@ class StalkValueCache:
     def __init__(self, ring: FiniteRing, cells):
         stalks = atom_stalks(ring)
         self.full = (1 << len(stalks)) - 1
-        index = {}
+        # leaves are numbered by object, and by structure only on the first
+        # sight of each object, so the sign-pattern cells' shared candidate
+        # objects are hashed once, not once per cell
+        by_id, index = {}, {}
         self._signs = []
         for cell in cells:
             pos = neg = 0
             for leaf, positive in signed_leaves(cell):
-                bit = 1 << index.setdefault(leaf, len(index))
+                number = by_id.get(id(leaf))
+                if number is None:
+                    number = by_id[id(leaf)] = index.setdefault(leaf, len(index))
+                bit = 1 << number
                 if positive:
                     pos |= bit
                 else:

@@ -82,6 +82,16 @@ def test_eval_bool_formula_unbound(z6):
         eval_bool_formula(B, parse_bool_formula("y0 = 1"), {})
 
 
+@pytest.mark.parametrize("text, names", [("y0 = 1", "y0"),
+                                         ("y0 = y2", "y0, y2"),
+                                         ("y1 ^ w0 = y0", "y0, y1, w0")])
+def test_eval_bool_formula_unbound_lists_every_missing_name(z6, text, names):
+    B = idempotent_algebra(z6)
+    with pytest.raises(UnboundVariableError) as info:
+        eval_bool_formula(B, parse_bool_formula(text), {})
+    assert str(info.value) == f"unbound variable(s): {names}"
+
+
 def test_eval_bool_agrees_with_ring_ops(suite_rings):
     """The mask evaluation matches term-by-term ring computation."""
     rng = random.Random(11)

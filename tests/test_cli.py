@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 from importlib import resources
 
 import pytest
@@ -302,3 +303,110 @@ def test_byte_identical_reruns(capsys):
     code2, out2, _ = run_cli(capsys, *argv)
     assert code1 == code2 == EXIT_OK
     assert out1 == out2
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_axioms_budget_below_one_is_a_usage_error(capsys, budget):
+    code, out, err = run_cli(capsys, "axioms", "--ring", "zmod:60",
+                             "--budget", budget)
+    assert code == EXIT_USAGE and out == ""
+    assert err == (f"error: budget max_assignments must be at least 1, "
+                   f"got {budget}\n")
+
+
+def test_axioms_budget_one_checks_every_axiom(capsys):
+    code, out, err = run_cli(capsys, "axioms", "--ring", "zmod:60",
+                             "--budget", "1")
+    assert code == EXIT_OK and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 11 and lines[-1] == "result: PASS"
+    assert all(": pass (" in line and "(0 instances)" not in line
+               for line in lines[1:-1])
+
+
+# --- fuzzing: every argv ends with exit 0, 1 or 2 and no traceback ---
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+FUZZ_RINGS = ("zmod:2", "zmod:4", "zmod:6", "zmod:12", "product:zmod:2,zmod:3",
+              "product:zmod:2,zmod:2", "product:zmod:2,zmod:4",
+              "table:@{golden}/f2.json")
+FUZZ_BAD_RINGS = ("", "ring", "zmod:", "zmod:0", "zmod:1", "zmod:-3", "zmod:x",
+                  "zmod:²", "zmod:99999999999", "product:",
+                  "product:zmod:2,product:zmod:3", "table:@{golden}/no_size.json",
+                  "table:@{golden}/missing.json", "table:@{golden}")
+FUZZ_FORMULAS = ("x0 = 0", "x0*x1 = 1", "E x1. x0*x1 = x0 & ~(x1 = 1)",
+                 "A x0. x0 = 0 | ~(x0*x0 = x0)", "x0 = 1 -> E x1. x1*x1 = x0",
+                 "0 = 0", "x2 + x0 = 3")
+FUZZ_BOOL_FORMULAS = ("y0 <= y1", "part3(y0, y1, y2)", "E w0. w0 = y0 ^ ~y1",
+                      "A y0. y0 = 0 | ~(y0 = 1)")
+FUZZ_ASSIGNMENTS = ("x0=1", "x0=1,x1=0", "x0=(1,0)", "x1=(0,1),x0=(1,1)")
+FUZZ_BAD_ASSIGNMENTS = ("", "x0=", "x0=1,x0=2", "y0=1", "x0=[1,", "x0=99",
+                        "=1", "x0==1", ",,", "x0=1.5")
+FUZZ_INTS = ("1", "2", "3")
+FUZZ_BAD_INTS = ("0", "-1", "x", "", "9" * 30)
+FUZZ_SUITES = ("smoke", "@{sentences}")
+FUZZ_BAD_SUITES = ("nosuch", "@{golden}/missing.txt", "@{golden}")
+FUZZ_ALPHABET = "xyw0123456789=+-*~&|()<>^v.,AE !²"
+
+
+def _mutate(rng, text):
+    """Delete, insert or replace one character, or cut the text short."""
+    i = rng.randrange(len(text) + 1)
+    op = rng.randrange(4)
+    if op == 3:
+        return text[:i]
+    return text[:i] + ("" if op == 0 else rng.choice(FUZZ_ALPHABET)) + text[i + (op != 1):]
+
+
+def _fuzz_argv(rng, command, sentences):
+    """Half the argvs are well formed; in the rest each input is malformed
+    with probability one half, from a list of bad values or by mutation."""
+    broken = rng.random() < 0.5
+
+    def pick(good, bad=()):
+        value = rng.choice(good)
+        if broken and rng.random() < 0.5:
+            value = rng.choice(bad) if bad and rng.random() < 0.5 else _mutate(rng, value)
+        return value.replace("{golden}", GOLDEN).replace("{sentences}", sentences)
+
+    ring = lambda: pick(FUZZ_RINGS, FUZZ_BAD_RINGS)
+    formula = lambda: pick(FUZZ_FORMULAS)
+    if command == "parse":
+        argv = (["parse", formula()] if rng.random() < 0.5 else
+                ["parse", pick(FUZZ_BOOL_FORMULAS), "--lang", "bool"])
+    elif command == "eval":
+        argv = ["eval", "--ring", ring(), "--formula", formula(),
+                "--assign", pick(FUZZ_ASSIGNMENTS, FUZZ_BAD_ASSIGNMENTS)]
+    elif command == "translate":
+        argv = ["translate", "--formula", formula(),
+                "--max-depth", pick(FUZZ_INTS, FUZZ_BAD_INTS)]
+    elif command == "check":
+        argv = ["check", "--ring", ring(), "--formula-suite",
+                pick(FUZZ_SUITES, FUZZ_BAD_SUITES),
+                "--max-depth", pick(FUZZ_INTS, FUZZ_BAD_INTS)]
+    elif command == "axioms":
+        argv = ["axioms", "--ring", ring(), "--budget", pick(FUZZ_INTS, FUZZ_BAD_INTS),
+                "--seed", pick(FUZZ_INTS, FUZZ_BAD_INTS)]
+    elif command == "equiv":
+        argv = ["equiv", "--left", ring(), "--right", ring(), "--sentences",
+                pick(("default30", "{sentences}"), ("{golden}", "{golden}/f2.json"))]
+    else:
+        argv = ["atoms", "--ring", ring()]
+    if rng.random() < 0.3:
+        argv.append("--json")
+    return argv
+
+
+@pytest.mark.parametrize("command", ["parse", "eval", "translate", "check",
+                                     "axioms", "equiv", "atoms"])
+def test_cli_fuzz_exit_codes(capsys, tmp_path, command):
+    """Seeded argvs over rings of at most 12 elements: exit 0, 1 or 2 only,
+    and never a traceback."""
+    sentences = tmp_path / "sentences.txt"
+    sentences.write_text("E x0. x0*x0 = x0 & ~(x0 = 0)\n"
+                         "A x0. x0 = 0 | x0 = 1\nE x0. x0*x0 = 1 + 1\n")
+    for i in range(25):
+        argv = _fuzz_argv(random.Random(f"{command}-{i}"), command, str(sentences))
+        code, _, err = run_cli(capsys, *argv)
+        assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE), argv
+        assert "Traceback" not in err, argv

@@ -93,6 +93,40 @@ def test_boolean_value_batch_singleton(z6):
     assert boolean_value_batch(z6, (parse_ring_formula("0 = 0"),)) == [1]
 
 
+# The stored free-variable set must not weaken the unbound-variable check:
+# with x0 = 0 the disjunction short-circuits, so only the precondition can
+# see that x1 is missing, also after the same object was evaluated in full.
+
+def test_eval_direct_unbound_after_full_evaluation(z6):
+    f = parse_ring_formula("x0 = 0 | x1 = 0")
+    with pytest.raises(UnboundVariableError, match="x1"):
+        eval_direct(z6, f, {0: 0})
+    assert eval_direct(z6, f, {0: 0, 1: 5}) is True
+    with pytest.raises(UnboundVariableError, match="x1"):
+        eval_direct(z6, f, {0: 0})
+
+
+def test_boolean_value_batch_unbound_after_full_evaluation(z6):
+    f = parse_ring_formula("x0 = 0 | x1 = 0")
+    with pytest.raises(UnboundVariableError, match="x1"):
+        boolean_value_batch(z6, (f,), {0: 0})
+    assert boolean_value_batch(z6, (f, Not(f)), {0: 0, 1: 5}) == [1, 0]
+    with pytest.raises(UnboundVariableError, match="x1"):
+        boolean_value_batch(z6, (f,), {0: 0})
+
+
+def test_stored_free_variables_leave_equality_hash_and_repr():
+    text = "E x2. x0*x2 = x1 & ~(x1 = 0)"
+    a, b = parse_ring_formula(text), parse_ring_formula(text)
+    assert a is not b
+    before = [(x == y, hash(x), repr(x)) for x, y in ((a, b), (b, a))]
+    assert free_variables(a) == free_variables(b) == {0, 1}
+    assert free_variables(a) == {0, 1}  # the stored set, read back
+    after = [(x == y, hash(x), repr(x)) for x, y in ((a, b), (b, a))]
+    assert after == before
+    assert str(a) == str(b) == text
+
+
 def test_localize_assignment(z6):
     assert localize_assignment(z6, 4, {0: 5, 1: 3}) == {0: 2, 1: 0}
 
