@@ -129,28 +129,36 @@ def check_axiom2(ring: FiniteRing, formulas=None, budget: CheckBudget = None) ->
     formulas = (formulas or default_formula_pool())[:budget.max_formulas]
     algebra = idempotent_algebra(ring)
     ring_atoms = atoms(ring)
+    # both scans depend only on the mask, so each distinct mask is scanned once
+    faults = {}
     instances = 0
     for theta in formulas:
         cache = StalkValueCache(ring, (theta,))
         for env in _assignments(ring, free_variables(theta), budget):
             instances += 1
             (mask,) = cache.masks(env)
-            value = algebra.element_of_mask(mask)
-            for i, e in enumerate(ring_atoms):
-                if algebra.below(e, value) != bool(mask >> i & 1):
-                    return _report(ring, "axiom2", instances, {
-                        "formula": format_ring_formula(theta),
-                        "assignment": _env_json(env), "atom": repr(e),
-                        "value": repr(value)})
-            others = [c for c in algebra.carrier if c != value and all(
-                algebra.below(e, c) == bool(mask >> i & 1)
-                for i, e in enumerate(ring_atoms))]
-            if others:
+            if mask not in faults:
+                faults[mask] = _value_fault(algebra, ring_atoms, mask)
+            if faults[mask] is not None:
                 return _report(ring, "axiom2", instances, {
                     "formula": format_ring_formula(theta),
-                    "assignment": _env_json(env),
-                    "reason": f"value not unique: {others[0]!r}"})
+                    "assignment": _env_json(env), **faults[mask]})
     return _report(ring, "axiom2", instances)
+
+
+def _value_fault(algebra, ring_atoms, mask):
+    """Why the element of an atom mask is not the unique idempotent with
+    exactly those atoms below it, or None."""
+    value = algebra.element_of_mask(mask)
+    for i, e in enumerate(ring_atoms):
+        if algebra.below(e, value) != bool(mask >> i & 1):
+            return {"atom": repr(e), "value": repr(value)}
+    others = [c for c in algebra.carrier if c != value and all(
+        algebra.below(e, c) == bool(mask >> i & 1)
+        for i, e in enumerate(ring_atoms))]
+    if others:
+        return {"reason": f"value not unique: {others[0]!r}"}
+    return None
 
 
 def patch_witness(ring: FiniteRing, theta, witness_var: int, env):

@@ -7,6 +7,7 @@ short-circuited but otherwise unoptimized on purpose.
 
 from __future__ import annotations
 
+import itertools
 from operator import or_
 
 from .formula import (Add, And, Eq, Exists, Forall, Implies, Mul, Not, One,
@@ -21,8 +22,9 @@ class UnboundVariableError(ValueError):
 
 
 def _check_env(formula, env):
-    missing = free_variables(formula) - env.keys()
-    if missing:
+    fv = free_variables(formula)
+    if not env.keys() >= fv:
+        missing = fv - env.keys()
         names = ", ".join(f"x{i}" for i in sorted(missing))
         raise UnboundVariableError(f"unbound variable(s): {names}")
 
@@ -144,19 +146,23 @@ class StalkValueCache:
     Rows: a cell's truth in a stalk depends only on the localized
     assignment, so each stalk memoizes one row per localized tuple of the
     cells' free variables, read off the distinct leaves.  On a miss every
-    distinct leaf is evaluated once with _eval, and the row holds, per
-    cell, the stalk's atom bit if the leaf verdicts match the cell's signs,
-    else 0.
+    distinct leaf is evaluated once with _eval.  A row is one packed int:
+    bit j*atoms + a is set when cell j holds in atom a's stalk, so a stalk's
+    row only has bits of its own atom.
 
     Localization goes through the stalk's x -> ex table (Stalk.localized),
-    which fills on demand.  masks() ORs the rows of all stalks: per cell,
-    the set of atoms whose stalks satisfy it, as a bitmask in atom order;
-    that set determines the Boolean value (join of those atoms).
+    which fills on demand.  packed() ORs the rows of all stalks at one
+    assignment and grid() at every assignment of a variable list; unpack()
+    turns a packed value into the tuple of per-cell atom masks (bit a of
+    mask j is bit j*atoms + a), and masks() is unpack(packed()).  A cell's
+    atom mask determines its Boolean value (the join of those atoms).
     """
 
     def __init__(self, ring: FiniteRing, cells):
         stalks = atom_stalks(ring)
-        self.full = (1 << len(stalks)) - 1
+        self.atoms = len(stalks)
+        self.full = (1 << self.atoms) - 1
+        self._elements = ring.elements
         # leaves are numbered by object, and by structure only on the first
         # sight of each object, so the sign-pattern cells' shared candidate
         # objects are hashed once, not once per cell
@@ -175,27 +181,70 @@ class StalkValueCache:
                     neg |= bit
             self._signs.append((pos, neg))
         self._leaves = tuple(index)
+        self._shifts = range(0, len(self._signs) * self.atoms, self.atoms)
         # a cell's free variables are exactly those of its signed leaves
         self._vars = tuple(sorted(set().union(*map(free_variables, self._leaves))))
         self._stalks = [(st, 1 << ai, {}) for ai, st in enumerate(stalks)]
 
-    def _row(self, st, bit, key) -> tuple:
+    def _row(self, st, bit, key) -> int:
         env = dict(zip(self._vars, key))
         truth = 0
         for li, leaf in enumerate(self._leaves):
             if _eval(st, leaf, env):
                 truth |= 1 << li
-        return tuple(bit if truth & pos == pos and not truth & neg else 0
-                     for pos, neg in self._signs)
+        row = 0
+        for pos, neg in reversed(self._signs):
+            row <<= self.atoms
+            if truth & pos == pos and not truth & neg:
+                row |= bit
+        return row
 
-    def masks(self, env) -> tuple:
+    def packed(self, env) -> int:
         values = [env[i] for i in self._vars]
-        out = None
+        out = 0
         for st, bit, memo in self._stalks:
             local = st.localized
             key = tuple([local[v] for v in values])
             row = memo.get(key)
             if row is None:
                 row = memo[key] = self._row(st, bit, key)
-            out = row if out is None else tuple(map(or_, out, row))
+            out |= row
+        return out
+
+    def unpack(self, packed: int) -> tuple:
+        full = self.full
+        return tuple([packed >> shift & full for shift in self._shifts])
+
+    def masks(self, env) -> tuple:
+        return self.unpack(self.packed(env))
+
+    def grid(self, variables):
+        """packed() at every assignment of the ring's elements to variables,
+        in itertools.product order; variables must include the cells' own.
+
+        Per stalk, every element is localized once and the rows of all
+        localized tuples are filled, so the per-assignment lookups and the
+        OR across stalks run inside map and product.
+        """
+        variables = tuple(variables)
+        used = [v in self._vars for v in variables]
+        if sum(used) != len(self._vars):
+            raise ValueError(f"grid over {variables} misses a cell variable "
+                             f"of {self._vars}")
+        out = None
+        for st, bit, memo in self._stalks:
+            local = list(map(st.localized.__getitem__, self._elements))
+            distinct = tuple(dict.fromkeys(local))
+            # an unused variable sits at None in the keys, so it takes
+            # every ring value without multiplying the rows
+            table = {}
+            for key in itertools.product(*[distinct if u else (None,) for u in used]):
+                short = tuple([k for k, u in zip(key, used) if u])
+                row = memo.get(short)
+                if row is None:
+                    row = memo[short] = self._row(st, bit, short)
+                table[key] = row
+            rows = map(table.__getitem__, itertools.product(
+                *[local if u else (None,) * len(local) for u in used]))
+            out = rows if out is None else map(or_, out, rows)
         return out

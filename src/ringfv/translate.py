@@ -199,10 +199,14 @@ class FvEvaluator:
     leaves (the candidate existentials and atomic formulas their sign
     patterns repeat) are evaluated once per stalk and localized assignment,
     localized through each stalk's lazy x -> ex table, and one memo row per
-    stalk gives every cell's atom bit.  psi is decided by eval_psi, which
-    walks atom-to-cell assignments inside each phi_star block, and its
-    verdicts are memoized per tuple of cell values.  Results are identical
-    to composing boolean_value_batch with eval_bool_formula; tests pin that.
+    stalk gives every cell's atom bit.  All cells' values at one assignment
+    are one packed int, bit j*atoms + a set when cell j holds in atom a's
+    stalk (StalkValueCache.unpack gives the tuple of per-cell atom masks).
+    psi is decided by eval_psi, which walks atom-to-cell assignments inside
+    each phi_star block; its verdicts and the partition checks are memoized
+    per packed value, which is unpacked only on a miss.  Results are
+    identical to composing boolean_value_batch with eval_bool_formula;
+    tests pin that.
     """
 
     def __init__(self, ring: FiniteRing, translation: TranslationResult):
@@ -212,23 +216,33 @@ class FvEvaluator:
         self._cache = StalkValueCache(ring, translation.cells)
         self.full = self._cache.full
         self._psi_memo = {}
+        self._partition_memo = {}
 
-    def cell_masks(self, env) -> tuple:
-        """Boolean values of all cells at env, as atom masks."""
-        return self._cache.masks(env)
+    def cell_masks(self, env) -> int:
+        """Boolean values of all cells at env, packed."""
+        return self._cache.packed(env)
 
-    def evaluate_masks(self, masks) -> bool:
-        hit = self._psi_memo.get(masks)
+    def mask_grid(self, variables):
+        """cell_masks at every assignment of the ring's elements to
+        variables, in itertools.product order."""
+        return self._cache.grid(variables)
+
+    def evaluate_masks(self, packed) -> bool:
+        hit = self._psi_memo.get(packed)
         if hit is None:
-            hit = eval_psi(self.translation.bool_formula, masks, self.full)
-            self._psi_memo[masks] = hit
+            hit = self._psi_memo[packed] = eval_psi(
+                self.translation.bool_formula, self._cache.unpack(packed), self.full)
         return hit
 
     def evaluate(self, env) -> bool:
         return self.evaluate_masks(self.cell_masks(env))
 
-    def masks_form_partition(self, masks) -> bool:
-        return masks_form_partition(masks, self.full)
+    def masks_form_partition(self, packed) -> bool:
+        hit = self._partition_memo.get(packed)
+        if hit is None:
+            hit = self._partition_memo[packed] = masks_form_partition(
+                self._cache.unpack(packed), self.full)
+        return hit
 
 
 def eval_via_fv(ring: FiniteRing, formula: RingFormula, env=None,
@@ -291,17 +305,17 @@ def oracle_sweep(ring: FiniteRing, formulas, max_quantifier_depth: int = 3,
     for f in formulas:
         ev = FvEvaluator(ring, translate(f, max_quantifier_depth))
         fv = sorted(free_variables(f))
-        for vals in itertools.product(ring.elements, repeat=len(fv)):
+        for vals, packed in zip(itertools.product(ring.elements, repeat=len(fv)),
+                                ev.mask_grid(fv)):
             env = dict(zip(fv, vals))
             instances += 1
-            masks = ev.cell_masks(env)
-            via = ev.evaluate_masks(masks)
+            via = ev.evaluate_masks(packed)
             direct = eval_direct(ring, f, env)
             if via != direct:
                 mismatch_count += 1
                 if len(mismatches) < collect_limit:
                     mismatches.append(SweepMismatch(format_ring_formula(f), env, direct, via))
-            if not ev.masks_form_partition(masks):
+            if not ev.masks_form_partition(packed):
                 partition_failure_count += 1
                 if len(partition_failures) < collect_limit:
                     partition_failures.append(f"{format_ring_formula(f)} at {env}")

@@ -6,7 +6,8 @@ import pytest
 
 from ringfv.axioms import (CheckBudget, check_axiom1, check_axiom2,
                            check_axiom3, check_axiom4, check_axiom5,
-                           default_partition_sequences, default_phi_pool,
+                           default_formula_pool, default_partition_sequences,
+                           default_phi_pool,
                            patch_witness, run_axiom_suite)
 from ringfv.boolalg import _beval, eval_psi, idempotent_algebra, phi_star
 from ringfv.formula import Exists, free_variables, parse_ring_formula
@@ -39,6 +40,28 @@ def test_axiom2_examples(z6):
     assert check_axiom2(z6, budget=FAST).passed
     assert boolean_value(z6, parse_ring_formula("0 = 0")) == 1
     assert boolean_value(z6, parse_ring_formula("0 = 1")) == 0
+
+
+def test_axiom2_wrong_value_fails_at_first_instance_of_its_mask(z6, monkeypatch):
+    """A wrong element for one atom mask is caught at the first instance
+    whose value has that mask, although the scans run once per mask."""
+    algebra = idempotent_algebra(z6)
+    target, wrong = 1, algebra.element_of_mask(2)
+    original = algebra.element_of_mask
+    monkeypatch.setattr(algebra, "element_of_mask",
+                        lambda mask: wrong if mask == target else original(mask))
+    report = check_axiom2(z6, budget=FAST)
+    # the checker's instance order: pool order, then product order (Z/6 is
+    # small enough for every assignment)
+    hits = [n for n, (theta, env) in enumerate(
+        ((theta, dict(zip(sorted(free_variables(theta)), vals)))
+         for theta in default_formula_pool()[:FAST.max_formulas]
+         for vals in itertools.product(
+             z6.elements, repeat=len(free_variables(theta)))), start=1)
+        if algebra.atom_mask(boolean_value(z6, theta, env)) == target]
+    assert len(hits) > 1 and hits[0] > 1
+    assert not report.passed and report.instances == hits[0]
+    assert report.counterexample["value"] == repr(wrong)
 
 
 def test_axiom3_passes(z6, z60):

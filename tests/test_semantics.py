@@ -234,3 +234,16 @@ def test_stalk_value_cache_matches_batch_on_mixed_cells(ring):
                 sum(1 << i for i, e in enumerate(ring_atoms) if ring.mul(e, v) == e)
                 for v in boolean_value_batch(ring, cells, env))
             assert cache.masks(env) == expected
+        # the bulk grid, over the cells' own variables and over a superset
+        for vs in ((0, 1), (0, 1, 5)):
+            grid = [cache.unpack(p) for p in cache.grid(vs)]
+            assert grid == [cache.masks(dict(zip(vs, vals)))
+                            for vals in itertools.product(elems, repeat=len(vs))]
+    closed = StalkValueCache(ring, tuple(parsed[6:8]))
+    for vs in ((), (3,), (0, 2)):
+        grid = list(closed.grid(vs))
+        assert len(grid) == len(elems) ** len(vs)
+        assert set(grid) == {closed.packed({})}
+        assert closed.unpack(grid[0]) == tuple(
+            sum(1 << i for i, e in enumerate(ring_atoms) if ring.mul(e, v) == e)
+            for v in boolean_value_batch(ring, parsed[6:8]))

@@ -287,6 +287,28 @@ def test_oracle_sweep_counts_failures_beyond_collect_limit(z6, monkeypatch, meth
     assert report.to_json()["ok"] is False
 
 
+@pytest.mark.parametrize("texts", [
+    ("x0 = x1", "x0*x1 = 0", "~(x0 = x1) & ~(x0*x1 = 0)"),
+    ("x0 = 0", "x0 = x1 & ~(x0 = 0)"),
+], ids=["overlapping", "not-covering"])
+def test_partition_check_on_cells_that_are_not_a_partition(z6, z60, texts):
+    """No monkeypatch: hand-built cells fail the partition check on some
+    assignments, and the packed verdict matches the stalk-by-stalk masks."""
+    cells = tuple(parse_ring_formula(t) for t in texts)
+    psi = parse_bool_formula("y0 = 1")
+    for ring in (z6, z60):
+        ev = FvEvaluator(ring, TranslationResult(cells[0], psi, cells, ()))
+        B = idempotent_algebra(ring)
+        verdicts = set()
+        for vals, packed in zip(itertools.product(ring.elements, repeat=2),
+                                ev.mask_grid((0, 1))):
+            values = boolean_value_batch(ring, cells, dict(enumerate(vals)))
+            verdict = masks_form_partition([B.atom_mask(v) for v in values], ev.full)
+            assert ev.masks_form_partition(packed) == verdict, (ring.label, vals)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}, ring.label
+
+
 def test_corollary_ring_equals_product_of_stalks(suite_rings):
     """Sentences agree between R and the product of its atom stalks."""
     sentences = [parse_ring_formula(t) for t in (
