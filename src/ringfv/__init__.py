@@ -12,9 +12,8 @@ from .boolalg import (IdempotentAlgebra, eval_bool_formula, idempotent_algebra,
                       make_partition_formula, phi_star)
 from .semantics import (UnboundVariableError, boolean_value,
                         boolean_value_batch, eval_direct)
-from .translate import (TranslationDepthError, TranslationResult,
-                        TranslationSizeError, eval_via_fv, oracle_sweep,
-                        translate)
+from .translate import (TranslationResult, TranslationSizeError, eval_via_fv,
+                        oracle_sweep, translate)
 from .axioms import (AxiomReport, CheckBudget, check_axiom1, check_axiom2,
                      check_axiom3, check_axiom4, check_axiom5, run_axiom_suite)
 from .residue import (DEFAULT_SENTENCES, PrimePowerDecomposition, atom_table,

@@ -123,10 +123,10 @@ def check_axiom1(ring: FiniteRing) -> AxiomReport:
     return _report(ring, "axiom1", instances)
 
 
-def check_axiom2(ring: FiniteRing, formulas=None, budget: CheckBudget = None) -> AxiomReport:
+def check_axiom2(ring: FiniteRing, budget: CheckBudget = None) -> AxiomReport:
     """Existence and uniqueness of the Boolean value of each instance."""
     budget = budget or DEFAULT_BUDGET
-    formulas = (formulas or default_formula_pool())[:budget.max_formulas]
+    formulas = default_formula_pool()[:budget.max_formulas]
     algebra = idempotent_algebra(ring)
     ring_atoms = atoms(ring)
     # both scans depend only on the mask, so each distinct mask is scanned once
@@ -176,10 +176,10 @@ def patch_witness(ring: FiniteRing, theta, witness_var: int, env):
     return g
 
 
-def check_axiom3(ring: FiniteRing, formulas=None, budget: CheckBudget = None) -> AxiomReport:
+def check_axiom3(ring: FiniteRing, budget: CheckBudget = None) -> AxiomReport:
     """[[exists w theta]] <= [[theta(fbar, g)]] for the patched witness g."""
     budget = budget or DEFAULT_BUDGET
-    pool = [f for f in (formulas or default_formula_pool()) if free_variables(f)]
+    pool = [f for f in default_formula_pool() if free_variables(f)]
     pool = pool[:budget.max_formulas]
     algebra = idempotent_algebra(ring)
     instances = 0
@@ -242,7 +242,7 @@ def default_partition_sequences() -> tuple:
     return tuple(sequences)
 
 
-def check_axiom5(ring: FiniteRing, phis=None, partition_sequences=None,
+def check_axiom5(ring: FiniteRing, partition_sequences=None,
                  budget: CheckBudget = None) -> AxiomReport:
     """Equivalence of the patching condition and the partition condition.
 
@@ -265,7 +265,7 @@ def check_axiom5(ring: FiniteRing, phis=None, partition_sequences=None,
         params = sorted(cell_fv - {witness})
         # per phi: phi*, then memos of each side keyed by mask tuples
         pool = [(phi, phi_star(phi, m), {}, {})
-                for phi in (phis or default_phi_pool(m + 1))]
+                for phi in default_phi_pool(m + 1)]
         cache = StalkValueCache(ring, cells)
         exists_cache = StalkValueCache(
             ring, tuple(Exists(witness, c) for c in cells))

@@ -28,6 +28,9 @@ EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
 # Every command that takes a ring scans its carrier, so larger rings are refused.
 MAX_RING_SIZE = 10**6
+# A table ring's axioms are checked in time cubic in its size: 256 elements
+# take about 4 s, so larger tables are refused before any table is scanned.
+MAX_TABLE_SIZE = 256
 # Longer than any element literal of a ring within MAX_RING_SIZE.
 MAX_LITERAL = 1000
 
@@ -90,6 +93,9 @@ def _check_table(data) -> None:
     for key in ("size", "zero", "one"):
         if type(data[key]) is not int:
             raise ValueError(f"table ring {key!r} must be an integer")
+    if data["size"] > MAX_TABLE_SIZE:
+        raise ValueError(f"table ring has {data['size']} elements, "
+                         f"above the limit {MAX_TABLE_SIZE}")
     for key in ("add", "mul"):
         table = data[key]
         if not isinstance(table, list) or any(type(v) is not int for v in table):
@@ -202,7 +208,7 @@ def cmd_eval(args) -> int:
 
 def cmd_translate(args) -> int:
     f = parse_ring_formula(args.formula)
-    result = translate(f, args.max_depth)
+    result = translate(f)
     payload = result.to_json()
     lines = [f"source: {payload['source']}", f"psi: {payload['psi']}",
              f"cells ({payload['cell_count']}):"]
@@ -221,7 +227,7 @@ def cmd_check(args) -> int:
     ring = parse_ring_descriptor(args.ring)
     suite = args.formula_suite
     formulas = [parse_ring_formula(t) for t in _resolve_suite(suite)]
-    report = oracle_sweep(ring, formulas, args.max_depth)
+    report = oracle_sweep(ring, formulas)
     payload = report.to_json() | {"suite": suite}
     lines = [f"ring: {report.ring}",
              f"suite: {suite} ({report.formulas} formulas)",
@@ -258,7 +264,7 @@ def cmd_equiv(args) -> int:
     right = parse_ring_descriptor(args.right)
     texts = (DEFAULT_SENTENCES if args.sentences == "default30"
              else load_formula_file(args.sentences))
-    verdicts = compare_sentences(left, right, texts, args.max_depth)
+    verdicts = compare_sentences(left, right, texts)
     rows = [vars(v) | {"ok": v.ok} for v in verdicts]
     ok = all(v.ok for v in verdicts)
     payload = {"left": left.label, "right": right.label, "sentences": rows, "ok": ok}
@@ -310,14 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("translate", help="translate a formula")
     p.add_argument("--formula", required=True)
-    p.add_argument("--max-depth", type=int, default=3)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("check", help="compare direct and translated evaluation")
     p.add_argument("--ring", required=True)
     p.add_argument("--formula-suite", default="default-depth2",
                    help=f"one of {', '.join(available_suites())}, or @<file>")
-    p.add_argument("--max-depth", type=int, default=3)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("axioms", help="run the axiom checkers on a ring")
@@ -331,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--right", required=True)
     p.add_argument("--sentences", default="default30",
                    help="a file of sentences, or 'default30'")
-    p.add_argument("--max-depth", type=int, default=3)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("atoms", help="list idempotents, atoms and stalks")
@@ -352,8 +355,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        if getattr(args, "max_depth", 1) < 1:
-            raise ValueError("depth cap must be >= 1")
         return COMMANDS[args.command](args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

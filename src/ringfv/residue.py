@@ -166,7 +166,7 @@ class TheoremMainReport:
         }
 
 
-def compare_sentences(left, right, texts, max_depth: int = 3) -> tuple:
+def compare_sentences(left, right, texts) -> tuple:
     """One SentenceVerdict per sentence: direct and translated evaluation on
     both rings.  An open formula is refused."""
     verdicts = []
@@ -178,8 +178,8 @@ def compare_sentences(left, right, texts, max_depth: int = 3) -> tuple:
             text,
             eval_direct(left, sentence),
             eval_direct(right, sentence),
-            eval_via_fv(left, sentence, max_quantifier_depth=max_depth),
-            eval_via_fv(right, sentence, max_quantifier_depth=max_depth),
+            eval_via_fv(left, sentence),
+            eval_via_fv(right, sentence),
         ))
     return tuple(verdicts)
 

@@ -26,11 +26,14 @@ from .boolalg import (eval_psi, idempotent_algebra, masks_form_partition,
 from .formula import (And, BAnd, BEq, BNot, BVar, Eq, Exists, Join, Not,
                       RingFormula, TOP, canonicalize, format_ring_formula,
                       free_variables, join_all, max_var_index,
-                      quantifier_depth, substitute_bool)
+                      substitute_bool)
 from .rings import FiniteRing
 from .semantics import StalkValueCache, eval_direct
 
 
+# The only refusal of translate.  It also bounds quantifier depth: an
+# innermost body has at least 2 cells and an existential turns n cells into
+# 2^n, so every formula of depth 3 or more has at least 2^16 cells.
 MAX_CELLS = 4096
 
 # An existential over n cells has 2^n of them.  Exponents above this are
@@ -47,24 +50,20 @@ def _cell_report(estimate: int) -> str:
     return f"about {estimate}"
 
 
-class TranslationDepthError(ValueError):
-    def __init__(self, depth, max_depth, estimate):
-        super().__init__(
-            f"quantifier depth {depth} exceeds the cap {max_depth}; "
-            f"translation would have {_cell_report(estimate)} cells")
-        self.estimated_cells = estimate
-
-
 class TranslationSizeError(ValueError):
-    """Depth alone does not bound the blowup: an existential over an
-    n-cell core yields 2^n cells, and conjunction multiplies cell counts
-    before the exponentiation, so a separate cell cap is enforced."""
+    """The translation would have more than MAX_CELLS cells."""
 
     def __init__(self, estimate):
         super().__init__(
             f"translation would have {_cell_report(estimate)} cells, "
             f"beyond the cap {MAX_CELLS}")
         self.estimated_cells = estimate
+
+
+# Nothing raises a separate depth error, since the cell cap refuses every
+# deep formula; the name stays because perfbench/workloads.py and
+# perfbench/tracer.py still import it.
+TranslationDepthError = TranslationSizeError
 
 
 @dataclass(frozen=True)
@@ -179,13 +178,11 @@ def _translate(f):
 
 
 @functools.lru_cache(maxsize=None)
-def translate(formula: RingFormula, max_quantifier_depth: int = 3) -> TranslationResult:
-    """Translate a ring formula; canonicalizes first, size-guarded."""
+def translate(formula: RingFormula) -> TranslationResult:
+    """Translate a ring formula; canonicalizes first, and raises
+    TranslationSizeError past MAX_CELLS cells."""
     canonical = canonicalize(formula)
-    depth = quantifier_depth(canonical)
     estimate = _estimate_cells(canonical)
-    if depth > max_quantifier_depth:
-        raise TranslationDepthError(depth, max_quantifier_depth, estimate)
     if estimate > MAX_CELLS:
         raise TranslationSizeError(estimate)
     psi, cells, trace = _translate(canonical)
@@ -245,10 +242,9 @@ class FvEvaluator:
         return hit
 
 
-def eval_via_fv(ring: FiniteRing, formula: RingFormula, env=None,
-                max_quantifier_depth: int = 3) -> bool:
+def eval_via_fv(ring: FiniteRing, formula: RingFormula, env=None) -> bool:
     """Satisfaction computed through the translation instead of directly."""
-    evaluator = FvEvaluator(ring, translate(formula, max_quantifier_depth))
+    evaluator = FvEvaluator(ring, translate(formula))
     return evaluator.evaluate(dict(env) if env else {})
 
 
@@ -289,8 +285,7 @@ class SweepReport:
         }
 
 
-def oracle_sweep(ring: FiniteRing, formulas, max_quantifier_depth: int = 3,
-                 collect_limit: int = 20) -> SweepReport:
+def oracle_sweep(ring: FiniteRing, formulas, collect_limit: int = 20) -> SweepReport:
     """Compare eval_via_fv against eval_direct over all assignments.
 
     Also checks, on every instance, that the Boolean values of the
@@ -303,7 +298,7 @@ def oracle_sweep(ring: FiniteRing, formulas, max_quantifier_depth: int = 3,
     instances = 0
     formulas = tuple(formulas)
     for f in formulas:
-        ev = FvEvaluator(ring, translate(f, max_quantifier_depth))
+        ev = FvEvaluator(ring, translate(f))
         fv = sorted(free_variables(f))
         for vals, packed in zip(itertools.product(ring.elements, repeat=len(fv)),
                                 ev.mask_grid(fv)):

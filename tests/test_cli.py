@@ -9,7 +9,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from ringfv.cli import (EXIT_FAIL, EXIT_OK, EXIT_USAGE, main,
+from ringfv.cli import (EXIT_FAIL, EXIT_OK, EXIT_USAGE, MAX_TABLE_SIZE, main,
                         parse_assignment, parse_ring_descriptor)
 from ringfv.rings import modular_ring, product_ring
 
@@ -68,6 +68,17 @@ def test_table_with_missing_field_is_rejected(capsys, tmp_path, key):
     code, out, err = run_cli(capsys, "atoms", "--ring", write_table(tmp_path, table))
     assert code == EXIT_USAGE and out == ""
     assert err == f"error: table ring file has no {key!r}\n"
+
+
+def test_table_over_the_size_limit_is_refused(capsys, tmp_path):
+    n = MAX_TABLE_SIZE + 1
+    table = {"size": n, "zero": 0, "one": 1,
+             "add": [(a + b) % n for a in range(n) for b in range(n)],
+             "mul": [a * b % n for a in range(n) for b in range(n)]}
+    code, out, err = run_cli(capsys, "atoms", "--ring", write_table(tmp_path, table))
+    assert code == EXIT_USAGE and out == ""
+    assert err == (f"error: table ring has {n} elements, "
+                   f"above the limit {MAX_TABLE_SIZE}\n")
 
 
 @pytest.mark.parametrize("ring, message", [
@@ -290,11 +301,15 @@ def test_exit_usage_on_unknown_subcommand(capsys):
     capsys.readouterr()
 
 
-def test_depth_cap_flag(capsys):
-    code, _, err = run_cli(capsys, "translate",
-                           "--formula", "E x0. E x1. x0 = x1",
-                           "--max-depth", "1")
-    assert code == EXIT_USAGE and "depth" in err
+def test_depth_three_is_refused_by_the_cell_cap(capsys):
+    code, out, err = run_cli(capsys, "translate",
+                             "--formula", "E x0. E x1. E x2. x0 = x1")
+    assert code == EXIT_USAGE and out == ""
+    assert err == ("error: translation would have about 65536 cells, "
+                   "beyond the cap 4096\n")
+    code, _, err = run_cli(capsys, "translate", "--formula", "0 = 0",
+                           "--max-depth", "3")
+    assert code == EXIT_USAGE and "unrecognized arguments: --max-depth" in err
 
 
 def test_byte_identical_reruns(capsys):
@@ -378,12 +393,10 @@ def _fuzz_argv(rng, command, sentences):
         argv = ["eval", "--ring", ring(), "--formula", formula(),
                 "--assign", pick(FUZZ_ASSIGNMENTS, FUZZ_BAD_ASSIGNMENTS)]
     elif command == "translate":
-        argv = ["translate", "--formula", formula(),
-                "--max-depth", pick(FUZZ_INTS, FUZZ_BAD_INTS)]
+        argv = ["translate", "--formula", formula()]
     elif command == "check":
         argv = ["check", "--ring", ring(), "--formula-suite",
-                pick(FUZZ_SUITES, FUZZ_BAD_SUITES),
-                "--max-depth", pick(FUZZ_INTS, FUZZ_BAD_INTS)]
+                pick(FUZZ_SUITES, FUZZ_BAD_SUITES)]
     elif command == "axioms":
         argv = ["axioms", "--ring", ring(), "--budget", pick(FUZZ_INTS, FUZZ_BAD_INTS),
                 "--seed", pick(FUZZ_INTS, FUZZ_BAD_INTS)]
@@ -401,12 +414,16 @@ def _fuzz_argv(rng, command, sentences):
                                      "axioms", "equiv", "atoms"])
 def test_cli_fuzz_exit_codes(capsys, tmp_path, command):
     """Seeded argvs over rings of at most 12 elements: exit 0, 1 or 2 only,
-    and never a traceback."""
+    and never a traceback.  Some argv exits 0, so a flag the parser no
+    longer knows cannot turn a command's fuzzing into usage errors only."""
     sentences = tmp_path / "sentences.txt"
     sentences.write_text("E x0. x0*x0 = x0 & ~(x0 = 0)\n"
                          "A x0. x0 = 0 | x0 = 1\nE x0. x0*x0 = 1 + 1\n")
+    codes = []
     for i in range(25):
         argv = _fuzz_argv(random.Random(f"{command}-{i}"), command, str(sentences))
         code, _, err = run_cli(capsys, *argv)
         assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE), argv
         assert "Traceback" not in err, argv
+        codes.append(code)
+    assert EXIT_OK in codes

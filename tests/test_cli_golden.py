@@ -61,8 +61,8 @@ CASES = {
     "translate-and3": ["translate", "--formula", "x0 = 0 & x1 = 1 & x0*x1 = x1"],
     "translate-forall-json": ["translate", "--formula", "A x0. E x1. x0*x1 = x0",
                               "--json"],
-    "translate-depth-refusal": ["translate", "--formula", "E x0. E x1. x0 = x1",
-                                "--max-depth", "1"],
+    "translate-depth-refusal": ["translate", "--formula",
+                                "E x0. E x1. E x2. E x3. x0*x1 = x2*x3"],
     "translate-cell-refusal": ["translate", "--formula",
                                "E x0. E x1. x0*x1 = 0 & ~(x0 = 0)"],
     "translate-cell-refusal-huge": ["translate", "--formula",

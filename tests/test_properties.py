@@ -7,6 +7,7 @@ and the file stays a few seconds of the suite.
 
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ringfv.cli import parse_ring_descriptor
@@ -18,7 +19,8 @@ from ringfv.formula import (
     numeral, parse_bool_formula, parse_ring_formula, quantifier_depth,
     rebuild, substitute_bool)
 from ringfv.rings import modular_ring, product_ring
-from ringfv.translate import MAX_CELLS, _estimate_cells, oracle_sweep
+from ringfv.translate import (MAX_CELLS, TranslationSizeError, _estimate_cells,
+                              oracle_sweep, translate)
 
 from test_translate import assert_matches_reference
 
@@ -49,11 +51,13 @@ def ring_formulas(nvars, max_leaves=5):
                         extend, max_leaves=max_leaves)
 
 
-def quantified(nvars, max_leaves=3):
-    """ring_formulas under a prefix of up to two quantifiers, so that the
-    translation's existential step is the common case, not a rare one."""
+def quantified(nvars, max_leaves=3, min_prefix=0, max_prefix=2):
+    """ring_formulas under a prefix of min_prefix to max_prefix quantifiers,
+    so that the translation's existential step is the common case, not a
+    rare one."""
     prefix = st.lists(st.tuples(st.sampled_from([Exists, Forall]),
-                                st.integers(0, nvars - 1)), max_size=2)
+                                st.integers(0, nvars - 1)),
+                      min_size=min_prefix, max_size=max_prefix)
     return st.builds(_under_prefix, prefix, ring_formulas(nvars, max_leaves))
 
 
@@ -149,6 +153,19 @@ def _translatable(f, max_cells=MAX_CELLS, max_depth=3):
     canonical = canonicalize(f)
     return (quantifier_depth(canonical) <= max_depth
             and _estimate_cells(canonical) <= max_cells)
+
+
+@PROPERTY
+@given(quantified(3, min_prefix=3, max_prefix=4))
+def test_cell_cap_refuses_every_formula_of_depth_three(f):
+    """translate needs no depth cap: an innermost body has at least 2 cells
+    and an existential turns n cells into 2^n, so depth 3 means at least
+    2^16 cells."""
+    canonical = canonicalize(f)
+    assert quantifier_depth(canonical) >= 3
+    assert _estimate_cells(canonical) > MAX_CELLS
+    with pytest.raises(TranslationSizeError):
+        translate(f)
 
 
 @PROPERTY

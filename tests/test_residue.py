@@ -5,7 +5,7 @@ import pytest
 from ringfv.residue import (DEFAULT_SENTENCES, atom_table, check_theorem_main,
                             compare_sentences, crt_solve, factor)
 from ringfv.rings import atoms, is_connected, modular_ring
-from ringfv.translate import TranslationDepthError
+from ringfv.translate import TranslationSizeError
 
 SUITE_N = (6, 12, 30, 60, 210)
 
@@ -115,8 +115,8 @@ def test_compare_sentences_refuses_open_formulas_and_deep_ones():
     z6 = modular_ring(6)
     with pytest.raises(ValueError, match="^sentence has free variables: x0 = 0$"):
         compare_sentences(z6, z6, ["0 = 0", "x0 = 0"])
-    with pytest.raises(TranslationDepthError):
-        compare_sentences(z6, z6, ["E x0. E x1. x0 = x1"], max_depth=1)
+    with pytest.raises(TranslationSizeError):
+        compare_sentences(z6, z6, ["E x0. E x1. E x2. x0 = x1"])
 
 
 def test_default_sentences_are_thirty_closed_sentences():

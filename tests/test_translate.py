@@ -14,8 +14,8 @@ from ringfv.formula import (And, Exists, Not, canonicalize,
 from ringfv.rings import atom_stalks, atoms, modular_ring, product_ring
 from ringfv.semantics import boolean_value_batch, eval_direct
 from ringfv.suites import default_depth2, smoke_suite
-from ringfv.translate import (FvEvaluator, TranslationDepthError,
-                              TranslationSizeError, TranslationResult,
+from ringfv.translate import (FvEvaluator, TranslationSizeError,
+                              TranslationResult,
                               _balanced_join, eval_via_fv, oracle_sweep,
                               translate)
 
@@ -323,13 +323,12 @@ def test_corollary_ring_equals_product_of_stalks(suite_rings):
 
 
 def test_depth_guard():
+    """There is no depth cap: the cell cap refuses deep formulas."""
     deep = parse_ring_formula("E x0. E x1. E x2. E x3. x0*x1 = x2*x3")
-    with pytest.raises(TranslationDepthError):
+    with pytest.raises(TranslationSizeError, match=r"at least 2\^65536 cells"):
         translate(deep)
     shallow = parse_ring_formula("E x0. E x1. x0 = x1")
-    assert translate(shallow, max_quantifier_depth=2)
-    with pytest.raises(TranslationDepthError):
-        translate(shallow, max_quantifier_depth=1)
+    assert len(translate(shallow).cells) == 16
 
 
 def test_cell_guard():
