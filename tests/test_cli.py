@@ -3,7 +3,10 @@
 import json
 import os
 import random
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +127,16 @@ def test_atoms_text(capsys):
     assert "stalk at 4: 3 elements, connected" in out
 
 
+def test_python_dash_m_runs_the_cli(capsys):
+    _, expected, _ = run_cli(capsys, "atoms", "--ring", "zmod:6")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-m", "ringfv", "atoms", "--ring", "zmod:6"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == EXIT_OK
+    assert proc.stdout == expected
+
+
 def test_atoms_json_schema(capsys):
     code, out, _ = run_cli(capsys, "atoms", "--ring", "zmod:60", "--json")
     assert code == EXIT_OK
@@ -163,6 +176,14 @@ def test_eval_float_literal_is_the_carrier_element(capsys, tmp_path, ring):
     payload = json.loads(out)
     validate(payload, "eval.schema.json")
     assert payload["assignment"] == {"x0": 1} and payload["result"] is True
+
+
+@pytest.mark.parametrize("literal", ["(1000, 0)", "(0, 0, 0)", "(1.5, 0)", "5"])
+def test_eval_refuses_a_value_outside_a_large_product(capsys, literal):
+    code, _, err = run_cli(capsys, "eval", "--ring", "product:zmod:1000,zmod:1000",
+                           "--formula", "x0 = x0", "--assign", f"x0={literal}")
+    assert code == EXIT_USAGE
+    assert err == f"error: {literal} is not an element of Z/1000 x Z/1000\n"
 
 
 def test_translate_subcommand(capsys):

@@ -6,10 +6,11 @@ import pytest
 
 from ringfv import rings
 from ringfv.formula import parse_ring_formula
-from ringfv.rings import (RingError, Stalk, atom_stalks, atoms, idempotents,
-                          is_connected, modular_ring, product_ring, stalk,
-                          table_ring)
+from ringfv.rings import (ProductRing, RingError, Stalk, atom_stalks, atoms,
+                          idempotents, is_connected, modular_ring, product_ring,
+                          stalk, table_ring)
 from ringfv.semantics import eval_direct
+from ringfv.suites import ring_suite
 
 GF4_ADD = [[a ^ b for b in range(4)] for a in range(4)]
 _GF4 = {(0, 0): 0, (0, 1): 0, (0, 2): 0, (0, 3): 0, (1, 1): 1, (1, 2): 2,
@@ -94,6 +95,65 @@ def test_product_carrier_lazy_indexing():
     assert list(itertools.islice(iter(elems), 3)) == [(0, 0, 0), (0, 0, 1), (0, 0, 2)]
     with pytest.raises(IndexError):
         elems[900]
+
+
+def _tabled_products():
+    suite = [r for r in ring_suite() if isinstance(r, ProductRing)]
+    return suite + [product_ring([modular_ring(4), modular_ring(16)])]
+
+
+@pytest.mark.parametrize("ring", _tabled_products(), ids=lambda r: r.label)
+def test_product_tables_agree_with_coordinatewise_ops(ring):
+    assert ring.size <= rings._TABLE_MAX
+    assert {"add", "sub", "mul"} <= vars(ring).keys()
+    carrier = set(itertools.product(*(f.elements for f in ring.factors)))
+    for name in ("add", "sub", "mul"):
+        tabled, reference = getattr(ring, name), getattr(ProductRing, name)
+        for a, b in itertools.product(ring.elements, repeat=2):
+            value = tabled(a, b)
+            assert value == reference(ring, a, b)
+            assert value in carrier
+
+
+def test_product_above_the_table_bound_stays_coordinatewise():
+    ring = product_ring([modular_ring(5), modular_ring(13)])
+    assert ring.size == rings._TABLE_MAX + 1
+    assert not {"add", "sub", "mul"} & vars(ring).keys()
+    assert ring.mul((2, 5), (3, 7)) == (1, 9)
+
+
+def test_product_table_outside_the_carrier_as_before():
+    ring = product_ring([modular_ring(4), modular_ring(9)])
+    outside = [((5, 0), (1, 1)), ((1, 1), (0, 10)), ([1, 2], (3, 3)),
+               ((1, 2), [3, 3]), ((1, 2, 0), (1, 1))]
+    for name in ("add", "sub", "mul"):
+        for a, b in outside:
+            assert getattr(ring, name)(a, b) == getattr(ProductRing, name)(ring, a, b)
+    with pytest.raises(TypeError):
+        ring.add(5, (0, 0))
+    assert ring.add((1, 1), (3, 8)) == (0, 0)
+
+
+@pytest.mark.parametrize("factors", [(4, 9), (2, 3, 5), (1000, 1000), (7,)])
+def test_product_carrier_index_by_coordinates(factors):
+    elems = product_ring([modular_ring(n) for n in factors]).elements
+    positions = range(len(elems)) if len(elems) <= 64 else range(0, len(elems), 9973)
+    for i in positions:
+        assert elems.index(elems[i]) == i and elems[i] in elems
+    assert elems.index(tuple(float(n - 1) for n in factors)) == len(elems) - 1
+    bad = [3, [0] * len(factors), (0,) * (len(factors) + 1), (0,) * (len(factors) - 1),
+           (factors[0],) + (0,) * (len(factors) - 1), (-1,) * len(factors), ("0",) * len(factors)]
+    for value in bad:
+        assert value not in elems
+        with pytest.raises(ValueError):
+            elems.index(value)
+
+
+def test_nested_product_carrier_index():
+    inner = product_ring([modular_ring(2), modular_ring(3)])
+    elems = product_ring([inner, modular_ring(5)]).elements
+    assert [elems.index(x) for x in elems] == list(range(30))
+    assert ((1, 3), 0) not in elems
 
 
 def test_table_ring_z2_accepted():
