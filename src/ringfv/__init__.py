@@ -11,7 +11,7 @@ from .rings import (FiniteRing, RingError, Stalk, atoms, idempotents,
 from .boolalg import (IdempotentAlgebra, eval_bool_formula, idempotent_algebra,
                       make_partition_formula, phi_star)
 from .semantics import (UnboundVariableError, boolean_value,
-                        boolean_value_batch, eval_direct)
+                        boolean_value_batch, boolean_values, eval_direct)
 from .translate import (TranslationResult, TranslationSizeError, eval_via_fv,
                         oracle_sweep, translate)
 from .axioms import (AxiomReport, CheckBudget, check_axiom1, check_axiom2,

@@ -20,7 +20,7 @@ from .formula import (And, BEq, BNot, BVar, Exists, Not, TOP, BOT,
                       leq, parse_ring_formula)
 from .rings import FiniteRing, atom_stalks, atoms, idempotents
 from .semantics import (StalkValueCache, _eval, boolean_value_batch,
-                        eval_direct, localize_assignment)
+                        boolean_values, eval_direct, localize_assignment)
 from .suites import atomic_pool
 from .translate import translate
 
@@ -322,9 +322,9 @@ def _check_value_lemmas(ring: FiniteRing, budget: CheckBudget):
             fv = free_variables(t1) | free_variables(t2)
             batch = (combine(t1, t2), t1, t2)
             # pair sweeps square the instance count, so envs get a tighter policy
-            for env in _assignments(ring, fv, budget, exhaustive_size=8):
+            envs = list(_assignments(ring, fv, budget, exhaustive_size=8))
+            for env, (both, v1, v2) in zip(envs, boolean_values(ring, batch, envs)):
                 instances += 1
-                both, v1, v2 = boolean_value_batch(ring, batch, env)
                 if both != expect(algebra, v1, v2):
                     counterexample = {"theta1": format_ring_formula(t1),
                                       "theta2": format_ring_formula(t2),
@@ -337,9 +337,9 @@ def _check_value_lemmas(ring: FiniteRing, budget: CheckBudget):
         if counterexample:
             break
         batch = (Not(t), t)
-        for env in _assignments(ring, free_variables(t), budget, exhaustive_size=8):
+        envs = list(_assignments(ring, free_variables(t), budget, exhaustive_size=8))
+        for env, (neg, pos) in zip(envs, boolean_values(ring, batch, envs)):
             instances += 1
-            neg, pos = boolean_value_batch(ring, batch, env)
             if neg != algebra.complement(pos):
                 counterexample = {"theta": format_ring_formula(t),
                                   "assignment": _env_json(env)}

@@ -271,11 +271,15 @@ class Stalk(FiniteRing):
     """The ring eR at a nonzero idempotent e, with unit e.
 
     localized[x] is ex for x in the parent ring; the table fills on demand,
-    so it never holds more than the values actually localized.
+    so it never holds more than the values actually localized.  add, sub
+    and mul are the parent's own operations, bound per instance.
     """
 
     def __init__(self, parent: FiniteRing, e):
         self.parent = parent
+        self.add = parent.add
+        self.sub = parent.sub
+        self.mul = parent.mul
         self.unit = e
         self.localized = _Multiples(parent, e)
         self.label = f"{parent.label} at {e}"
@@ -289,15 +293,6 @@ class Stalk(FiniteRing):
         self.elements = tuple(carrier)
         self.zero = parent.zero
         self.one = e
-
-    def add(self, a, b):
-        return self.parent.add(a, b)
-
-    def sub(self, a, b):
-        return self.parent.sub(a, b)
-
-    def mul(self, a, b):
-        return self.parent.mul(a, b)
 
 
 def modular_ring(n: int) -> ModularRing:

@@ -1,12 +1,15 @@
 """Brute-force first-order evaluation, and Boolean values computed in stalks.
 
 eval_direct is the independent oracle for the whole artifact: plain
-Tarskian satisfaction with quantifiers enumerated over the full carrier,
-short-circuited but otherwise unoptimized on purpose.
+Tarskian satisfaction with quantifiers enumerated over the full carrier.
+The tree walk dispatches on each node's exact class and is short-circuited
+but otherwise uncached on purpose, so it shares no memo with the stalk
+layer it checks.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from operator import or_
 
@@ -30,23 +33,22 @@ def _check_env(formula, env):
 
 
 def eval_term(ring: FiniteRing, term, env):
-    if isinstance(term, Var):
+    cls = type(term)
+    if cls is Var:
         try:
             return env[term.index]
         except KeyError:
             raise UnboundVariableError(f"unbound variable x{term.index}") from None
-    if isinstance(term, Zero):
+    if cls is Mul:
+        return ring.mul(eval_term(ring, term.left, env), eval_term(ring, term.right, env))
+    if cls is Add:
+        return ring.add(eval_term(ring, term.left, env), eval_term(ring, term.right, env))
+    if cls is Sub:
+        return ring.sub(eval_term(ring, term.left, env), eval_term(ring, term.right, env))
+    if cls is Zero:
         return ring.zero
-    if isinstance(term, One):
+    if cls is One:
         return ring.one
-    a = eval_term(ring, term.left, env)
-    b = eval_term(ring, term.right, env)
-    if isinstance(term, Add):
-        return ring.add(a, b)
-    if isinstance(term, Sub):
-        return ring.sub(a, b)
-    if isinstance(term, Mul):
-        return ring.mul(a, b)
     raise TypeError(f"not a ring term: {term!r}")
 
 
@@ -58,18 +60,17 @@ def eval_direct(ring: FiniteRing, formula: RingFormula, env=None) -> bool:
 
 
 def _eval(ring, f, env):
-    if isinstance(f, Eq):
+    """Satisfaction of f under env; env ends as it began, in keys, order
+    and values, because a quantifier restores the binding it overwrote."""
+    cls = type(f)
+    if cls is Eq:
         return eval_term(ring, f.left, env) == eval_term(ring, f.right, env)
-    if isinstance(f, Not):
-        return not _eval(ring, f.body, env)
-    if isinstance(f, And):
+    if cls is And:
         return _eval(ring, f.left, env) and _eval(ring, f.right, env)
-    if isinstance(f, Or):
-        return _eval(ring, f.left, env) or _eval(ring, f.right, env)
-    if isinstance(f, Implies):
-        return not _eval(ring, f.left, env) or _eval(ring, f.right, env)
-    if isinstance(f, (Exists, Forall)):
-        want = isinstance(f, Exists)
+    if cls is Not:
+        return not _eval(ring, f.body, env)
+    if cls is Exists or cls is Forall:
+        want = cls is Exists
         var, body = f.var, f.body
         saved = env.get(var, _MISSING)
         result = not want
@@ -83,6 +84,10 @@ def _eval(ring, f, env):
         else:
             env[var] = saved
         return result
+    if cls is Or:
+        return _eval(ring, f.left, env) or _eval(ring, f.right, env)
+    if cls is Implies:
+        return not _eval(ring, f.left, env) or _eval(ring, f.right, env)
     raise TypeError(f"not a ring formula: {f!r}")
 
 
@@ -102,18 +107,73 @@ def boolean_value(ring: FiniteRing, formula: RingFormula, env=None):
 
 
 def boolean_value_batch(ring: FiniteRing, formulas, env=None) -> list:
-    """Elementwise boolean_value with the stalks walked once."""
-    env = dict(env) if env else {}
+    """Elementwise boolean_value at one assignment: the list of the
+    formulas' Boolean values, the one-env case of boolean_values."""
+    return next(boolean_values(ring, formulas, (env or {},)))
+
+
+class _AtomJoins(dict):
+    """Atom mask -> the join of the atoms at its set bits, folded from 0 in
+    atom order with ring.join_idempotents on the first lookup of the mask."""
+
+    def __init__(self, ring: FiniteRing):
+        super().__init__()
+        self._ring = ring
+        self._atoms = atoms(ring)
+
+    def __missing__(self, mask):
+        value = self._ring.zero
+        for i, e in enumerate(self._atoms):
+            if mask >> i & 1:
+                value = self._ring.join_idempotents(value, e)
+        self[mask] = value
+        return value
+
+
+@functools.lru_cache(maxsize=None)
+def _atom_joins(ring: FiniteRing) -> _AtomJoins:
+    return _AtomJoins(ring)
+
+
+def boolean_values(ring: FiniteRing, formulas, envs):
+    """Yield the list of the formulas' Boolean values at each env in turn.
+
+    Every env must bind the formulas' free variables; an env that does not
+    raises UnboundVariableError when it is reached.  Each env is localized
+    through every stalk's x -> ex table (Stalk.localized).  A stalk's verdict
+    row, the formulas' truth in that stalk, depends only on the localized
+    (var, value) tuple, so each stalk memoizes its rows by that tuple for
+    the whole call; on a miss every formula runs through _eval on one shared
+    localized env, which _eval leaves as it found it.  A row is a packed
+    int, bit i*atoms + a set when formula i holds in atom a's stalk, so the
+    rows of all stalks OR into the atom masks, and each mask becomes its
+    idempotent through a per-ring table of ring.join_idempotents folds.
+    """
     formulas = tuple(formulas)
-    for f in formulas:
-        _check_env(f, env)
-    values = [ring.zero] * len(formulas)
-    for e, st in zip(atoms(ring), atom_stalks(ring)):
-        local = localize_assignment(ring, e, env)
-        for i, f in enumerate(formulas):
-            if _eval(st, f, dict(local)):
-                values[i] = ring.join_idempotents(values[i], e)
-    return values
+    stalks = atom_stalks(ring)
+    width = len(stalks)
+    full = (1 << width) - 1
+    shifts = range(0, len(formulas) * width, width)
+    joins = _atom_joins(ring)
+    needed = set().union(*map(free_variables, formulas))
+    per_stalk = [(st, st.localized, 1 << a, {}) for a, st in enumerate(stalks)]
+    for env in envs:
+        if not env.keys() >= needed:
+            for f in formulas:
+                _check_env(f, env)
+        packed = 0
+        for st, local, bit, memo in per_stalk:
+            key = tuple([(var, local[x]) for var, x in env.items()])
+            row = memo.get(key)
+            if row is None:
+                st_env = dict(key)
+                row = 0
+                for shift, f in zip(shifts, formulas):
+                    if _eval(st, f, st_env):
+                        row |= bit << shift
+                memo[key] = row
+            packed |= row
+        yield [joins[packed >> shift & full] for shift in shifts]
 
 
 def signed_leaves(formula) -> tuple:

@@ -4,13 +4,15 @@ import itertools
 
 import pytest
 
-from ringfv.axioms import (CheckBudget, check_axiom1, check_axiom2,
+from ringfv.axioms import (DEFAULT_BUDGET, CheckBudget, _check_value_lemmas,
+                           check_axiom1, check_axiom2,
                            check_axiom3, check_axiom4, check_axiom5,
                            default_formula_pool, default_partition_sequences,
                            default_phi_pool,
                            patch_witness, run_axiom_suite)
 from ringfv.boolalg import _beval, eval_psi, idempotent_algebra, phi_star
-from ringfv.formula import Exists, free_variables, parse_ring_formula
+from ringfv.formula import (Exists, format_ring_formula, free_variables,
+                            parse_ring_formula)
 from ringfv.rings import ModularRing, atoms, modular_ring, product_ring
 from ringfv.semantics import (StalkValueCache, boolean_value,
                               boolean_value_batch)
@@ -208,6 +210,75 @@ def test_run_axiom_suite_all_pass(z6, z4):
             "boolean-laws", "lemma-conjunction", "lemma-negation",
             "lemma-disjunction"}
         assert all(r.passed for r in reports)
+
+
+# instances per check at DEFAULT_BUDGET, every verdict a pass
+SUITE_CHECKS = ("axiom1", "axiom2", "axiom3", "axiom4", "axiom5", "boolean-laws",
+                "lemma-conjunction", "lemma-disjunction", "lemma-negation")
+SUITE_INSTANCES = {
+    "Z/4": (1, 121, 30, 247, 78, 8, 504, 504, 121),
+    "Z/6": (3, 241, 40, 429, 114, 64, 1068, 1068, 241),
+    "Z/8": (1, 401, 50, 659, 150, 8, 1840, 1840, 401),
+    "Z/12": (3, 841, 70, 1263, 222, 64, 1928, 1928, 441),
+    "Z/30": (7, 4801, 160, 6357, 546, 512, 2324, 2324, 621),
+    "Z/60": (7, 921, 310, 2271, 1086, 512, 2984, 2984, 921),
+    "Z/2 x Z/2": (3, 121, 30, 247, 78, 64, 504, 504, 121),
+    "Z/4 x Z/9": (3, 6841, 190, 8919, 654, 64, 2456, 2456, 681),
+    "Z/2 x Z/3 x Z/5": (7, 4801, 160, 6357, 546, 512, 2324, 2324, 621),
+}
+
+
+def test_run_axiom_suite_pinned_instances(suite_rings):
+    got = {ring.label: [(r.check, r.instances, r.verdict)
+                        for r in run_axiom_suite(ring, DEFAULT_BUDGET)]
+           for ring in suite_rings}
+    assert got == {label: [(c, n, "pass") for c, n in zip(SUITE_CHECKS, counts)]
+                   for label, counts in SUITE_INSTANCES.items()}
+
+
+def _lemma_instances(ring, budget, arity):
+    """The value lemmas' instances in checker order, each with the reference
+    values of its formulas: formula pairs (arity 2) or formulas (arity 1)
+    from the pool, then every assignment (the ring has at most 8 elements)."""
+    pool = [f for f in default_formula_pool()
+            if len(free_variables(f)) <= 2][:budget.max_formulas]
+    tuples = (list(itertools.product(pool, repeat=2))[:budget.max_formulas]
+              if arity == 2 else [(t,) for t in pool])
+    for ts in tuples:
+        fv = sorted(set().union(*map(free_variables, ts)))
+        for vals in itertools.product(ring.elements, repeat=len(fv)):
+            env = dict(zip(fv, vals))
+            yield ts, env, [boolean_value(ring, t, env) for t in ts]
+
+
+def _env_json(env):
+    return {f"x{k}": repr(v) for k, v in sorted(env.items())}
+
+
+@pytest.mark.parametrize("law, arity, target", [
+    ("meet", 2, (4, 3)), ("complement", 1, (3,))])
+def test_value_lemma_fails_at_first_instance_of_a_wrong_law(law, arity, target,
+                                                            monkeypatch):
+    """An algebra law wrong on one input makes its lemma fail at the first
+    instance whose formula values are that input, with that counterexample."""
+    ring = modular_ring(6)
+    algebra = idempotent_algebra(ring)
+    original = getattr(algebra, law)
+    monkeypatch.setattr(algebra, law, lambda *xs: (
+        ring.one if xs == target else original(*xs)))
+    hits = [(n, ts, env) for n, (ts, env, values) in enumerate(
+        _lemma_instances(ring, FAST, arity), start=1) if tuple(values) == target]
+    assert hits and hits[0][0] > 1 and original(*target) != ring.one
+    n, ts, env = hits[0]
+    reports = {r.check: r for r in _check_value_lemmas(ring, FAST)}
+    failing = "lemma-conjunction" if law == "meet" else "lemma-negation"
+    names = ("theta1", "theta2") if arity == 2 else ("theta",)
+    assert reports[failing].verdict == "fail"
+    assert reports[failing].instances == n
+    assert reports[failing].counterexample == {
+        **{k: format_ring_formula(t) for k, t in zip(names, ts)},
+        "assignment": _env_json(env)}
+    assert all(r.passed for check, r in reports.items() if check != failing)
 
 
 def test_report_json_shape(z6):

@@ -5,12 +5,15 @@ import random
 
 import pytest
 
+from ringfv.axioms import default_formula_pool
 from ringfv.boolalg import idempotent_algebra
-from ringfv.formula import (And, Not, Or, canonicalize, free_variables,
-                            parse_ring_formula)
-from ringfv.rings import atoms, modular_ring, product_ring, stalk, table_ring
-from ringfv.semantics import (StalkValueCache, UnboundVariableError,
-                              boolean_value, boolean_value_batch, eval_direct,
+from ringfv.formula import (ONE, And, Eq, Not, Or, Var, canonicalize,
+                            free_variables, parse_ring_formula)
+from ringfv.rings import (atom_stalks, atoms, modular_ring, product_ring, stalk,
+                          table_ring)
+from ringfv.semantics import (StalkValueCache, UnboundVariableError, _eval,
+                              boolean_value, boolean_value_batch,
+                              boolean_values, eval_direct, eval_term,
                               localize_assignment, signed_leaves)
 
 IDEMPOTENT_PROBE = "E x0. x0*x0 = x0 & ~(x0 = 0) & ~(x0 = 1)"
@@ -38,6 +41,30 @@ def test_eval_direct_env_not_mutated(z6):
     env = {0: 2}
     eval_direct(z6, parse_ring_formula("E x0. x0 = x0"), env)
     assert env == {0: 2}
+
+
+@pytest.mark.parametrize("text", [
+    "x0 = 0 & (E x0. x0 = 1)", "E x0. x0 = x1", "A x0. x0*x1 = x0 -> x0 = 0",
+    "E x2. x2*x2 = x2 & ~(x2 = x0)", "E x1. E x0. x0*x1 = 1"])
+def test_eval_leaves_env_as_found(z6, text):
+    """boolean_values shares one env per stalk across formulas, so _eval
+    must restore keys, their order and values, also for rebound variables."""
+    env = {1: 5, 0: 0, 7: 3}
+    before = list(env.items())
+    _eval(z6, parse_ring_formula(text), env)
+    assert list(env.items()) == before
+
+
+def test_eval_refusals(z6):
+    with pytest.raises(TypeError, match=r"^not a ring formula: Var\(index=0\)$"):
+        _eval(z6, Not(Var(0)), {0: 1})
+    with pytest.raises(TypeError, match=r"^not a ring term: Eq\("):
+        _eval(z6, Eq(Var(0), Eq(ONE, ONE)), {0: 1})
+    with pytest.raises(TypeError, match=r"^not a ring term: "):
+        eval_term(z6, "x0", {0: 1})
+    # x2 is first reached inside the quantifier body, after x1 is bound
+    with pytest.raises(UnboundVariableError, match=r"^unbound variable x2$"):
+        _eval(z6, parse_ring_formula("E x1. x1 = x2"), {})
 
 
 def test_eval_direct_connectives(z6):
@@ -113,6 +140,54 @@ def test_boolean_value_batch_unbound_after_full_evaluation(z6):
     assert boolean_value_batch(z6, (f, Not(f)), {0: 0, 1: 5}) == [1, 0]
     with pytest.raises(UnboundVariableError, match="x1"):
         boolean_value_batch(z6, (f,), {0: 0})
+
+
+def _reference_values(ring, formulas, env):
+    """Boolean values one env at a time: every stalk localizes the env
+    afresh, every formula gets its own copy, and atoms join by ring
+    arithmetic."""
+    values = [ring.zero] * len(formulas)
+    for e, st in zip(atoms(ring), atom_stalks(ring)):
+        local = localize_assignment(ring, e, env)
+        for i, f in enumerate(formulas):
+            if eval_direct(st, f, local):
+                values[i] = ring.join_idempotents(values[i], e)
+    return values
+
+
+def _split_envs(ring):
+    """Envs with one localized tuple at an atom e but not at another atom:
+    x != y with ex = ey, so the stalk memo must hit at e and miss elsewhere."""
+    if len(atoms(ring)) == 1:
+        return []  # x != y differ in the only stalk
+    out = []
+    for e in atoms(ring):
+        x, y = next((x, y) for x, y in itertools.combinations(ring.elements, 2)
+                    if ring.mul(e, x) == ring.mul(e, y))
+        out += [{0: x, 1: y}, {0: y, 1: y}, {0: x, 1: x}]
+    return out
+
+
+def test_boolean_values_match_per_env_reference(suite_rings):
+    pool = default_formula_pool()
+    batch = pool + (And(pool[2], pool[9]), Not(pool[12]))
+    for ring in suite_rings:
+        rng = random.Random(ring.size)
+        elems = ring.elements
+        envs = [{0: elems[rng.randrange(ring.size)],
+                 1: elems[rng.randrange(ring.size)]} for _ in range(24)]
+        envs += _split_envs(ring)
+        envs += [{0: ring.zero, 1: ring.zero}, {1: ring.one, 0: ring.one}]
+        assert list(boolean_values(ring, batch, envs)) == \
+            [_reference_values(ring, batch, env) for env in envs], ring.label
+
+
+def test_boolean_values_unbound_env_raises_when_reached(z6):
+    f = parse_ring_formula("x0 = x1")
+    values = boolean_values(z6, (f,), ({0: 0, 1: 0}, {0: 1}))
+    assert next(values) == [1]
+    with pytest.raises(UnboundVariableError, match="x1"):
+        next(values)
 
 
 def test_stored_free_variables_leave_equality_hash_and_repr():
