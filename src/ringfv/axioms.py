@@ -110,13 +110,11 @@ def check_axiom1(ring: FiniteRing) -> AxiomReport:
         if f == ring.zero:
             continue
         instances += 1
-        below = [e for e in atoms(ring) if algebra.below(e, f)]
-        if not below:
+        mask = algebra.atom_mask(f)
+        if mask == 0:
             return _report(ring, "axiom1", instances,
                            {"idempotent": repr(f), "reason": "no atom below"})
-        joined = ring.zero
-        for e in below:
-            joined = algebra.join(joined, e)
+        joined = algebra.element_of_mask(mask)
         if joined != f:
             return _report(ring, "axiom1", instances,
                            {"idempotent": repr(f), "join_of_atoms": repr(joined)})
@@ -304,47 +302,35 @@ def check_axiom5(ring: FiniteRing, partition_sequences=None,
 
 
 def _check_value_lemmas(ring: FiniteRing, budget: CheckBudget):
-    """The meet/complement/join homomorphism laws for Boolean values."""
+    """The meet/join/complement homomorphism laws for Boolean values."""
     algebra = idempotent_algebra(ring)
     pool = [f for f in default_formula_pool()
             if len(free_variables(f)) <= 2][:budget.max_formulas]
-    pairs = [(a, b) for a, b in itertools.product(pool, repeat=2)][:budget.max_formulas]
+    pairs = list(itertools.product(pool, repeat=2))[:budget.max_formulas]
     reports = []
-    for name, combine, expect in (
-            ("lemma-conjunction", And, lambda alg, x, y: alg.meet(x, y)),
-            ("lemma-disjunction",
-             lambda a, b: Not(And(Not(a), Not(b))), lambda alg, x, y: alg.join(x, y))):
+    for name, tuples, combine, law, keys in (
+            ("lemma-conjunction", pairs, And, algebra.meet, ("theta1", "theta2")),
+            ("lemma-disjunction", pairs, lambda a, b: Not(And(Not(a), Not(b))),
+             algebra.join, ("theta1", "theta2")),
+            ("lemma-negation", [(t,) for t in pool], Not, algebra.complement,
+             ("theta",))):
         instances = 0
         counterexample = None
-        for t1, t2 in pairs:
+        for ts in tuples:
             if counterexample:
                 break
-            fv = free_variables(t1) | free_variables(t2)
-            batch = (combine(t1, t2), t1, t2)
+            fv = set().union(*map(free_variables, ts))
+            batch = (combine(*ts), *ts)
             # pair sweeps square the instance count, so envs get a tighter policy
             envs = list(_assignments(ring, fv, budget, exhaustive_size=8))
-            for env, (both, v1, v2) in zip(envs, boolean_values(ring, batch, envs)):
+            for env, (combined, *values) in zip(envs, boolean_values(ring, batch, envs)):
                 instances += 1
-                if both != expect(algebra, v1, v2):
-                    counterexample = {"theta1": format_ring_formula(t1),
-                                      "theta2": format_ring_formula(t2),
-                                      "assignment": _env_json(env)}
+                if combined != law(*values):
+                    counterexample = {
+                        **{k: format_ring_formula(t) for k, t in zip(keys, ts)},
+                        "assignment": _env_json(env)}
                     break
         reports.append(_report(ring, name, instances, counterexample))
-    instances = 0
-    counterexample = None
-    for t in pool:
-        if counterexample:
-            break
-        batch = (Not(t), t)
-        envs = list(_assignments(ring, free_variables(t), budget, exhaustive_size=8))
-        for env, (neg, pos) in zip(envs, boolean_values(ring, batch, envs)):
-            instances += 1
-            if neg != algebra.complement(pos):
-                counterexample = {"theta": format_ring_formula(t),
-                                  "assignment": _env_json(env)}
-                break
-    reports.append(_report(ring, "lemma-negation", instances, counterexample))
     return reports
 
 

@@ -2,7 +2,9 @@
 
 The finite algebra is atomic, so the map sending an idempotent to the set
 of atoms below it is an isomorphism onto the powerset of the atoms.
-eval_bool_formula works on that powerset picture (bitmask per element)
+atom_mask reads it by a ring.mul scan and element_of_mask inverts it by
+ring joins (rings.atom_joins), so the axiom checkers compare the two.
+eval_bool_formula works on the powerset picture (bitmask per element)
 and reads every quantifier literally, over all 2^atoms masks; tests pin it
 against the ring-operation reading of the same formulas.
 
@@ -10,8 +12,9 @@ eval_psi gives the same verdicts faster.  It decides each phi_star block
 (some partition w_0..w_m with w_j <= t_j satisfies phi) by walking the
 assignments of atoms to cells, because those are exactly the partitions
 of a finite atomic algebra (the finite Feferman-Vaught reduction): at most
-(m+1)^atoms steps instead of (2^atoms)^(m+1).  Axiom 5's checker decides
-its patching side, phi* at the cells' values, with eval_psi too.
+(m+1)^atoms steps instead of (2^atoms)^(m+1); any other quantifier goes to
+the literal reader.  Axiom 5's checker decides its patching side, phi* at
+the cells' values, with eval_psi too.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .formula import (BAnd, BEq, BExists, BForall, BImplies, BNot, BOr, Bot,
                       BoolFormula, BVar, Complement, Join, Meet, Top,
                       _var_name, free_variables, leq, max_var_index,
                       partition_conditions, substitute_bool)
-from .rings import FiniteRing, atoms, idempotents
+from .rings import FiniteRing, atom_joins, atoms, idempotents
 from .semantics import UnboundVariableError
 
 _MISSING = object()
@@ -50,7 +53,7 @@ class IdempotentAlgebra:
             raise ValueError(f"idempotents of {ring.label} do not form "
                              "an atomic Boolean algebra")  # unreachable for genuine rings
         self._mask_of = mask_of
-        self._of_mask = {m: f for f, m in mask_of.items()}
+        self._joins = atom_joins(ring)
 
     @property
     def size(self) -> int:
@@ -75,7 +78,7 @@ class IdempotentAlgebra:
             raise ValueError(f"{e} is not an idempotent of {self.ring.label}") from None
 
     def element_of_mask(self, mask: int):
-        return self._of_mask[mask]
+        return self._joins[mask]
 
     def __repr__(self):
         return f"<IdempotentAlgebra of {self.ring.label}, {self.size} elements>"
@@ -284,20 +287,7 @@ def _peval(f, menv, full):
         if block is not None:
             return _block_holds(block, menv, full)
     if isinstance(f, (BExists, BForall)):
-        want = isinstance(f, BExists)
-        var, body = f.var, f.body
-        saved = menv.get(var, _MISSING)
-        result = not want
-        for mask in range(full + 1):
-            menv[var] = mask
-            if _peval(body, menv, full) == want:
-                result = want
-                break
-        if saved is _MISSING:
-            del menv[var]
-        else:
-            menv[var] = saved
-        return result
+        return _beval(f, menv, full)
     raise TypeError(f"not a Boolean formula: {f!r}")
 
 
@@ -305,6 +295,7 @@ def eval_psi(formula: BoolFormula, masks, full: int) -> bool:
     """Satisfaction in B with variable j at masks[j].
 
     Same verdicts as eval_bool_formula, but each phi_star block is decided
-    by partitions_within; every other quantifier runs over all masks.
+    by partitions_within; every other quantifier goes to the literal
+    reader _beval, which runs it over all masks.
     """
     return _peval(formula, dict(enumerate(masks)), full)

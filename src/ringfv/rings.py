@@ -3,8 +3,9 @@
 Rings are presented by an enumerable carrier plus total operations.  The
 trivial ring is rejected everywhere: connectedness talk needs 0 != 1.
 Ring values are immutable and hash by identity; the derived data
-(idempotents, atoms, stalks) is cached per ring object.  A product of at
-most _TABLE_MAX elements computes its operations once, into tables over all
+(idempotents, atoms, stalks, and the table from atom masks to the joins
+of their atoms) is cached per ring object.  A product of at most
+_TABLE_MAX elements computes its operations once, into tables over all
 carrier pairs; larger products compute them coordinate by coordinate.
 """
 
@@ -344,6 +345,30 @@ def _stalk(ring: FiniteRing, e) -> Stalk:
 def atom_stalks(ring: FiniteRing) -> tuple:
     """Stalks at the atoms, aligned with atoms(ring); only these are built."""
     return tuple(_stalk(ring, e) for e in atoms(ring))
+
+
+class _AtomJoins(dict):
+    """Atom mask -> the join of the atoms at its set bits, folded from 0 in
+    atom order with ring.join_idempotents on the first lookup of the mask."""
+
+    def __init__(self, ring: FiniteRing):
+        super().__init__()
+        self._ring = ring
+        self._atoms = atoms(ring)
+
+    def __missing__(self, mask):
+        value = self._ring.zero
+        for i, e in enumerate(self._atoms):
+            if mask >> i & 1:
+                value = self._ring.join_idempotents(value, e)
+        self[mask] = value
+        return value
+
+
+@functools.lru_cache(maxsize=None)
+def atom_joins(ring: FiniteRing) -> _AtomJoins:
+    """The ring's table from atom masks (bit i: atoms(ring)[i]) to joins."""
+    return _AtomJoins(ring)
 
 
 def is_connected(ring: FiniteRing) -> bool:

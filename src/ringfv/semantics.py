@@ -9,13 +9,12 @@ layer it checks.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from operator import or_
 
 from .formula import (Add, And, Eq, Exists, Forall, Implies, Mul, Not, One,
                       Or, RingFormula, Sub, Var, Zero, free_variables)
-from .rings import FiniteRing, atom_stalks, atoms
+from .rings import FiniteRing, atom_joins, atom_stalks
 
 _MISSING = object()
 
@@ -112,29 +111,6 @@ def boolean_value_batch(ring: FiniteRing, formulas, env=None) -> list:
     return next(boolean_values(ring, formulas, (env or {},)))
 
 
-class _AtomJoins(dict):
-    """Atom mask -> the join of the atoms at its set bits, folded from 0 in
-    atom order with ring.join_idempotents on the first lookup of the mask."""
-
-    def __init__(self, ring: FiniteRing):
-        super().__init__()
-        self._ring = ring
-        self._atoms = atoms(ring)
-
-    def __missing__(self, mask):
-        value = self._ring.zero
-        for i, e in enumerate(self._atoms):
-            if mask >> i & 1:
-                value = self._ring.join_idempotents(value, e)
-        self[mask] = value
-        return value
-
-
-@functools.lru_cache(maxsize=None)
-def _atom_joins(ring: FiniteRing) -> _AtomJoins:
-    return _AtomJoins(ring)
-
-
 def boolean_values(ring: FiniteRing, formulas, envs):
     """Yield the list of the formulas' Boolean values at each env in turn.
 
@@ -147,14 +123,14 @@ def boolean_values(ring: FiniteRing, formulas, envs):
     localized env, which _eval leaves as it found it.  A row is a packed
     int, bit i*atoms + a set when formula i holds in atom a's stalk, so the
     rows of all stalks OR into the atom masks, and each mask becomes its
-    idempotent through a per-ring table of ring.join_idempotents folds.
+    idempotent through the ring's join table (rings.atom_joins).
     """
     formulas = tuple(formulas)
     stalks = atom_stalks(ring)
     width = len(stalks)
     full = (1 << width) - 1
     shifts = range(0, len(formulas) * width, width)
-    joins = _atom_joins(ring)
+    joins = atom_joins(ring)
     needed = set().union(*map(free_variables, formulas))
     per_stalk = [(st, st.localized, 1 << a, {}) for a, st in enumerate(stalks)]
     for env in envs:

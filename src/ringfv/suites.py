@@ -49,6 +49,7 @@ def _ordered(formulas) -> tuple:
                                        format_ring_formula(f))))
 
 
+@functools.lru_cache(maxsize=None)
 def atomic_pool(var_indices=(0, 1), max_total_ops: int = 1) -> tuple:
     """Deduplicated equations t = s with a bounded operator budget."""
     terms = term_pool(var_indices, max_total_ops)

@@ -32,10 +32,16 @@ def test_axiom1_fail_path_via_corrupted_join():
         def join_idempotents(self, e, f):
             return self.mul(e, f)  # deliberately wrong: meet instead of join
 
-    report = check_axiom1(BrokenJoin(6))
+    ring = BrokenJoin(6)
+    report = check_axiom1(ring)
     assert not report.passed
-    assert report.counterexample is not None
-    assert "join_of_atoms" in report.counterexample
+    assert report.counterexample == {"idempotent": "1", "join_of_atoms": "0"}
+    # axioms 2 and 4 read values through the same join table, so they
+    # catch the wrong join against the ring.mul scan and eval_direct
+    report = check_axiom2(ring, budget=FAST)
+    assert not report.passed
+    assert {"atom", "value"} <= report.counterexample.keys()
+    assert not check_axiom4(ring, budget=FAST).passed
 
 
 def test_axiom2_examples(z6):
@@ -256,7 +262,7 @@ def _env_json(env):
 
 
 @pytest.mark.parametrize("law, arity, target", [
-    ("meet", 2, (4, 3)), ("complement", 1, (3,))])
+    ("meet", 2, (4, 3)), ("complement", 1, (3,)), ("join", 2, (0, 3))])
 def test_value_lemma_fails_at_first_instance_of_a_wrong_law(law, arity, target,
                                                             monkeypatch):
     """An algebra law wrong on one input makes its lemma fail at the first
@@ -271,7 +277,8 @@ def test_value_lemma_fails_at_first_instance_of_a_wrong_law(law, arity, target,
     assert hits and hits[0][0] > 1 and original(*target) != ring.one
     n, ts, env = hits[0]
     reports = {r.check: r for r in _check_value_lemmas(ring, FAST)}
-    failing = "lemma-conjunction" if law == "meet" else "lemma-negation"
+    failing = {"meet": "lemma-conjunction", "join": "lemma-disjunction",
+               "complement": "lemma-negation"}[law]
     names = ("theta1", "theta2") if arity == 2 else ("theta",)
     assert reports[failing].verdict == "fail"
     assert reports[failing].instances == n
