@@ -81,7 +81,12 @@ class ModularRing(FiniteRing):
 
 
 class _ProductCarrier(Sequence):
-    """Cartesian product materialized by index arithmetic, not up front."""
+    """Cartesian product materialized by index arithmetic, not up front.
+
+    A carrier of at most _TABLE_MAX elements (the products that get
+    operation tables) keeps its elements in a tuple, which __getitem__
+    indexes instead of splitting the index into coordinates.
+    """
 
     def __init__(self, factors):
         self._factors = factors
@@ -89,11 +94,14 @@ class _ProductCarrier(Sequence):
         self._len = 1
         for s in self._sizes:
             self._len *= s
+        self._listed = tuple(self) if self._len <= _TABLE_MAX else None
 
     def __len__(self):
         return self._len
 
     def __getitem__(self, i):
+        if self._listed is not None:
+            return self._listed[i]
         if i < 0:
             i += self._len
         if not 0 <= i < self._len:
@@ -170,7 +178,7 @@ class ProductRing(FiniteRing):
         self.zero = tuple(f.zero for f in factors)
         self.one = tuple(f.one for f in factors)
         if len(self.elements) <= _TABLE_MAX:
-            add, sub, mul = _op_tables(factors, self.elements)
+            add, sub, mul = _op_tables(factors, self.elements._listed)
             self.add = _lookup(add, self.add)
             self.sub = _lookup(sub, self.sub)
             self.mul = _lookup(mul, self.mul)

@@ -7,9 +7,16 @@ equivalent to B satisfying psi at the Boolean values of the cells.  The
 recursion handles equations, negation, conjunction and the existential
 quantifier; everything else is erased by canonicalize() first.
 
-The existential step, the patching transform phi* over the candidates
-E x. c_j followed by their disjunctive normal form, is built in one pass
-by _exists_step; the tests keep the two-step construction as its reference.
+psi and the trace depend only on the formula's shape, its tree of Eq, Not,
+And and Exists nodes with terms and variable names erased: the existential
+step reads only the body's psi and cell count, and the conjunction step
+only the operands' psis and cell counts.  So _bool_side builds them once
+per shape, and formulas of one shape share one psi object; _cells builds
+the cells, which do mention the terms, per formula.  The existential step,
+the patching transform phi* over the candidates E x. c_j followed by their
+disjunctive normal form, is built in one pass on each side (_exists_psi
+and the sign patterns in _cells); the tests keep the two-step construction
+as its reference.
 
 The construction is uniform: it depends only on the source formula, never
 on a ring, so results are cached and reused across rings.
@@ -115,17 +122,30 @@ def _balanced_join(indices):
     return Join(_balanced_join(indices[:half]), _balanced_join(indices[half:]))
 
 
-def _exists_step(var, psi0, cells0):
-    """Translate E x. theta from theta's (psi0; cells0).
+def _shape(f):
+    """The shape of a canonical formula as a tuple tree tagged with the
+    trace's op names: ("atomic",), ("not", s), ("and", l, r), ("exists", s)."""
+    if isinstance(f, Eq):
+        return ("atomic",)
+    if isinstance(f, Not):
+        return ("not", _shape(f.body))
+    if isinstance(f, And):
+        return ("and", _shape(f.left), _shape(f.right))
+    if isinstance(f, Exists):
+        return ("exists", _shape(f.body))
+    raise TypeError(f"not a canonical ring formula: {f!r}")
+
+
+def _exists_psi(psi0, m):
+    """psi of E x. theta from theta's psi0 over m+1 cells.
 
     This is the patching transform phi_star(psi0, m) over the candidates
     E x. c_j, rewritten into disjunctive normal form with the candidates as
     the propositional variables.  Output cell k is the sign pattern of the
     candidates given by the bits of k (bit l set means candidate l
-    positive), so the cells are pairwise contradictory and jointly
-    exhaustive by propositional logic alone, hence a partition sequence.
-    Candidate l is the join J_l of the patterns with bit l set, and psi is
-    phi_star(psi0, m) with each v_l replaced by J_l, built directly:
+    positive; _cells writes them), so candidate l is the join J_l of the
+    patterns with bit l set, and psi is phi_star(psi0, m) with each v_l
+    replaced by J_l, built directly:
 
         E x_0 .. E x_m. Part(x_0..x_m) & x_j <= J_j & psi0[v_j := x_j]
 
@@ -135,46 +155,61 @@ def _exists_step(var, psi0, cells0):
     that substitution's result, and the only walk is the small
     substitution into psi0.
     """
-    m = len(cells0) - 1
     top = (1 << (m + 1)) - 1
-    candidates = [Exists(var, c) for c in cells0]
-    cells = []
-    for k in range(top + 1):
-        conj = None
-        for l, cand in enumerate(candidates):
-            lit = cand if k >> l & 1 else Not(cand)
-            conj = lit if conj is None else And(conj, lit)
-        cells.append(conj)
     base = max(max_var_index(psi0) + 1, m + 1)
     fresh = 1 + max(base + m, top)
     xs = [fresh + j if base + j <= top else base + j for j in range(m + 1)]
     joins = [_balanced_join([k for k in range(top + 1) if k >> l & 1])
              for l in range(m + 1)]
-    psi = patching_block(xs, joins, substitute_bool(
+    return patching_block(xs, joins, substitute_bool(
         psi0, {j: BVar(x) for j, x in enumerate(xs)}))
-    return psi, tuple(cells)
 
 
-def _translate(f):
-    if isinstance(f, Eq):
-        return BEq(BVar(0), TOP), (f, Not(f)), (TraceStep("atomic", 2),)
-    if isinstance(f, Not):
-        psi, cells, trace = _translate(f.body)
-        return BNot(psi), cells, trace + (TraceStep("not", len(cells)),)
-    if isinstance(f, And):
-        psi_l, cl, tl = _translate(f.left)
-        psi_r, cr, tr = _translate(f.right)
-        a, b = len(cl), len(cr)
-        cells = tuple(And(x, y) for x in cl for y in cr)
+@functools.lru_cache(maxsize=None)
+def _bool_side(shape):
+    """(psi, cell count, trace) of every canonical formula of this shape."""
+    op, *subs = shape
+    sides = [_bool_side(s) for s in subs]
+    if op == "atomic":
+        psi, n = BEq(BVar(0), TOP), 2
+    elif op == "not":
+        ((psi, n, _),) = sides
+        psi = BNot(psi)
+    elif op == "and":
+        (psi_l, a, _), (psi_r, b, _) = sides
         rows = {i: join_all([BVar(i * b + j) for j in range(b)]) for i in range(a)}
         cols = {j: join_all([BVar(i * b + j) for i in range(a)]) for j in range(b)}
         psi = BAnd(substitute_bool(psi_l, rows), substitute_bool(psi_r, cols))
-        return psi, cells, tl + tr + (TraceStep("and", a * b),)
-    if isinstance(f, Exists):
-        psi0, cells0, trace0 = _translate(f.body)
-        psi, cells = _exists_step(f.var, psi0, cells0)
-        return psi, cells, trace0 + (TraceStep("exists", len(cells)),)
-    raise TypeError(f"not a canonical ring formula: {f!r}")
+        n = a * b
+    else:  # exists
+        ((psi0, n0, _),) = sides
+        psi, n = _exists_psi(psi0, n0 - 1), 1 << n0
+    trace = sum((t for _, _, t in sides), ()) + (TraceStep(op, n),)
+    return psi, n, trace
+
+
+def _cells(f):
+    """The cells of a canonical formula: (f, ~f) at an equation, the body's
+    at a negation, the products of the operands' cells at a conjunction,
+    and at E x. theta the sign patterns of the candidates E x. c_j, which
+    are pairwise contradictory and jointly exhaustive by propositional
+    logic alone, hence a partition sequence."""
+    if isinstance(f, Eq):
+        return f, Not(f)
+    if isinstance(f, Not):
+        return _cells(f.body)
+    if isinstance(f, And):
+        left, right = _cells(f.left), _cells(f.right)
+        return tuple(And(x, y) for x in left for y in right)
+    candidates = [Exists(f.var, c) for c in _cells(f.body)]
+    cells = []
+    for k in range(1 << len(candidates)):
+        conj = None
+        for l, cand in enumerate(candidates):
+            lit = cand if k >> l & 1 else Not(cand)
+            conj = lit if conj is None else And(conj, lit)
+        cells.append(conj)
+    return tuple(cells)
 
 
 @functools.lru_cache(maxsize=None)
@@ -185,8 +220,17 @@ def translate(formula: RingFormula) -> TranslationResult:
     estimate = _estimate_cells(canonical)
     if estimate > MAX_CELLS:
         raise TranslationSizeError(estimate)
-    psi, cells, trace = _translate(canonical)
-    return TranslationResult(formula, psi, cells, trace)
+    psi, _, trace = _bool_side(_shape(canonical))
+    return TranslationResult(formula, psi, _cells(canonical), trace)
+
+
+@functools.lru_cache(maxsize=None)
+def _verdict_memo(*key) -> dict:
+    """The one memo dict for key, shared by every FvEvaluator: psi verdicts
+    under (psi, cell count, full), partition checks under (cell count,
+    full), each dict keyed by packed value.  Like translate's cache, the
+    memos last as long as the process."""
+    return {}
 
 
 class FvEvaluator:
@@ -200,10 +244,14 @@ class FvEvaluator:
     are one packed int, bit j*atoms + a set when cell j holds in atom a's
     stalk (StalkValueCache.unpack gives the tuple of per-cell atom masks).
     psi is decided by eval_psi, which walks atom-to-cell assignments inside
-    each phi_star block; its verdicts and the partition checks are memoized
-    per packed value, which is unpacked only on a miss.  Results are
-    identical to composing boolean_value_batch with eval_bool_formula;
-    tests pin that.
+    each phi_star block.  Its verdicts and the partition checks are
+    memoized per packed value, which is unpacked only on a miss.  A verdict
+    is a pure function of psi, the cell count, full and the packed value,
+    and a partition check of the last three, so the memos are module-wide
+    (_verdict_memo) under the keys (psi, cell count, full) and (cell count,
+    full): every formula of one shape, on every ring with as many atoms,
+    reads the same two dicts.  Results are identical to composing
+    boolean_value_batch with eval_bool_formula; tests pin that.
     """
 
     def __init__(self, ring: FiniteRing, translation: TranslationResult):
@@ -212,8 +260,9 @@ class FvEvaluator:
         self.algebra = idempotent_algebra(ring)
         self._cache = StalkValueCache(ring, translation.cells)
         self.full = self._cache.full
-        self._psi_memo = {}
-        self._partition_memo = {}
+        n = len(translation.cells)
+        self._psi_memo = _verdict_memo(translation.bool_formula, n, self.full)
+        self._partition_memo = _verdict_memo(n, self.full)
 
     def cell_masks(self, env) -> int:
         """Boolean values of all cells at env, packed."""

@@ -1,10 +1,12 @@
 """The executable axiom checkers."""
 
 import itertools
+import random
 
 import pytest
 
-from ringfv.axioms import (DEFAULT_BUDGET, CheckBudget, _check_value_lemmas,
+from ringfv.axioms import (DEFAULT_BUDGET, CheckBudget, _assignments,
+                           _check_value_lemmas,
                            check_axiom1, check_axiom2,
                            check_axiom3, check_axiom4, check_axiom5,
                            default_formula_pool, default_partition_sequences,
@@ -299,3 +301,15 @@ def test_budget_sampling_is_deterministic(z60):
     r1 = check_axiom2(z60, budget=b)
     r2 = check_axiom2(z60, budget=b)
     assert r1 == r2
+
+
+def test_sampled_assignments_on_a_product_follow_the_seeded_draws():
+    # the sample is elements[randrange(size)] per variable, drawn in order
+    ring = product_ring([modular_ring(4), modular_ring(9)])
+    envs = list(_assignments(ring, {0, 1}, DEFAULT_BUDGET, exhaustive_size=8))
+    listed = list(ring.elements)
+    rng = random.Random((DEFAULT_BUDGET.seed, ring.size, 2).__hash__())
+    assert envs == [{v: listed[rng.randrange(ring.size)] for v in (0, 1)}
+                    for _ in range(DEFAULT_BUDGET.max_assignments)]
+    assert envs[:2] == [{0: (2, 3), 1: (2, 6)}, {0: (3, 7), 1: (0, 2)}]
+    assert envs[-1] == {0: (1, 4), 1: (1, 0)}

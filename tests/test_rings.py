@@ -115,6 +115,22 @@ def test_product_tables_agree_with_coordinatewise_ops(ring):
             assert value in carrier
 
 
+@pytest.mark.parametrize("ring", _tabled_products() + [
+    product_ring([modular_ring(5), modular_ring(13)])], ids=lambda r: r.label)
+def test_product_carrier_getitem_matches_iteration(ring):
+    # up to _TABLE_MAX elements __getitem__ reads the kept tuple, above it
+    # it splits the index into coordinates; both agree with iteration
+    elems = ring.elements
+    assert (elems._listed is not None) == (ring.size <= rings._TABLE_MAX)
+    listed = list(elems)
+    n = len(listed)
+    for i in range(-n, n):
+        assert elems[i] == listed[i]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            elems[i]
+
+
 def test_product_above_the_table_bound_stays_coordinatewise():
     ring = product_ring([modular_ring(5), modular_ring(13)])
     assert ring.size == rings._TABLE_MAX + 1

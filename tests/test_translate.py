@@ -7,17 +7,17 @@ import pytest
 
 from ringfv.boolalg import (eval_bool_formula, idempotent_algebra,
                             masks_form_partition, phi_star)
-from ringfv.formula import (And, Exists, Not, canonicalize,
-                            format_bool_formula, format_ring_formula,
-                            free_variables, parse_bool_formula,
-                            parse_ring_formula, substitute_bool)
+from ringfv.formula import (TOP, And, BAnd, BEq, BNot, BVar, Eq, Exists, Not,
+                            canonicalize, format_bool_formula,
+                            format_ring_formula, free_variables, join_all,
+                            parse_bool_formula, parse_ring_formula,
+                            substitute_bool)
 from ringfv.rings import atom_stalks, atoms, modular_ring, product_ring
 from ringfv.semantics import boolean_value_batch, eval_direct
 from ringfv.suites import default_depth2, smoke_suite
-from ringfv.translate import (FvEvaluator, TranslationSizeError,
-                              TranslationResult,
-                              _balanced_join, eval_via_fv, oracle_sweep,
-                              translate)
+from ringfv.translate import (FvEvaluator, TraceStep, TranslationSizeError,
+                              TranslationResult, _balanced_join, eval_via_fv,
+                              oracle_sweep, translate)
 
 # by module path: the package rebinds the name translate to the function
 translate_module = importlib.import_module("ringfv.translate")
@@ -53,17 +53,32 @@ def normalize_to_partition(bool_formula, cells) -> tuple:
     return substitute_bool(bool_formula, mapping), tuple(out)
 
 
-def _exists_by_normal_form(var, psi0, cells0):
-    candidates = tuple(Exists(var, c) for c in cells0)
-    return normalize_to_partition(phi_star(psi0, len(cells0) - 1), candidates)
+def _reference(f):
+    if isinstance(f, Eq):
+        return BEq(BVar(0), TOP), (f, Not(f)), (TraceStep("atomic", 2),)
+    if isinstance(f, Not):
+        psi, cells, trace = _reference(f.body)
+        return BNot(psi), cells, trace + (TraceStep("not", len(cells)),)
+    if isinstance(f, And):
+        psi_l, cl, tl = _reference(f.left)
+        psi_r, cr, tr = _reference(f.right)
+        a, b = len(cl), len(cr)
+        rows = {i: join_all([BVar(i * b + j) for j in range(b)]) for i in range(a)}
+        cols = {j: join_all([BVar(i * b + j) for i in range(a)]) for j in range(b)}
+        psi = BAnd(substitute_bool(psi_l, rows), substitute_bool(psi_r, cols))
+        cells = tuple(And(x, y) for x in cl for y in cr)
+        return psi, cells, tl + tr + (TraceStep("and", a * b),)
+    psi0, cells0, trace0 = _reference(f.body)
+    psi, cells = normalize_to_partition(
+        phi_star(psi0, len(cells0) - 1), [Exists(f.var, c) for c in cells0])
+    return psi, cells, trace0 + (TraceStep("exists", len(cells)),)
 
 
 def reference_translation(formula):
-    """(psi, cells, trace) with the existential step taken literally:
-    phi_star(psi0, m), then normalize_to_partition over the candidates."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(translate_module, "_exists_step", _exists_by_normal_form)
-        return translate_module._translate(canonicalize(formula))
+    """(psi, cells, trace) built per formula, with the existential step
+    taken literally: phi_star(psi0, m), then normalize_to_partition over
+    the candidates."""
+    return _reference(canonicalize(formula))
 
 
 def assert_matches_reference(formula):
@@ -212,6 +227,52 @@ def test_translation_uniform_and_cached():
     assert translate(f) is translate(f)
     g = parse_ring_formula("E x1. x0*x1 = 1")
     assert translate(g) == translate(f)
+
+
+def test_formulas_of_one_shape_share_psi_and_trace():
+    f = translate(parse_ring_formula("E x1. x0*x1 = 1"))
+    g = translate(parse_ring_formula("E x2. x2+x0 = x0"))
+    assert f.bool_formula is g.bool_formula
+    assert f.trace is g.trace
+    assert f.cells != g.cells
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_shared_memos_keep_psis_apart(z6, first):
+    # same cells and cell count, opposite psis: the psi memo is keyed by psi
+    translate_module._verdict_memo.cache_clear()
+    source = parse_ring_formula("x0 = 0")
+    cells = (source, Not(source))
+    psis = [parse_bool_formula("y0 = 1"), parse_bool_formula("~(y0 = 1)")]
+    order = [first, 1 - first]
+    evaluators = {i: FvEvaluator(z6, TranslationResult(source, psis[i], cells, ()))
+                  for i in order}
+    for v in z6.elements:
+        verdicts = {i: evaluators[i].evaluate({0: v}) for i in order}
+        assert verdicts[0] == (v == 0) != verdicts[1]
+
+
+def test_shared_memos_run_psi_once_per_psi_and_packed_value(z6, monkeypatch):
+    translate_module._verdict_memo.cache_clear()
+    runs = []
+    original = translate_module.eval_psi
+
+    def counting(psi, masks, full):
+        runs.append((psi, tuple(masks)))
+        return original(psi, masks, full)
+
+    monkeypatch.setattr(translate_module, "eval_psi", counting)
+    formulas = default_depth2()
+    distinct = set()
+    for f in formulas:
+        ev = FvEvaluator(z6, translate(f))
+        distinct |= {(ev.translation.bool_formula, packed)
+                     for packed in ev.mask_grid(sorted(free_variables(f)))}
+    assert oracle_sweep(z6, formulas).ok
+    assert len(runs) == len(set(runs)) == len(distinct)
+    runs.clear()
+    assert oracle_sweep(z6, formulas).ok
+    assert runs == []
 
 
 def test_eval_via_fv_matches_naive_composition(z6, z2xz3):
